@@ -254,7 +254,7 @@ def payload_count(params: dict, T: int, scan_cache: dict, threads: int) -> dict:
     kind, extra = _parse_target(params["target"])
     primes = tuple(int(p) for p in params.get("primes", "").split(",") if p)
     if kind == "projective":
-        spectrum = count_projective(extra, T)
+        spectrum = _top_spectrum(scan_cache, params, threads).below(T)
         hists = {}
         total = spectrum.total
     elif kind == "pgl2":
@@ -288,6 +288,23 @@ def _shared_pgl2_scan(scan_cache: dict, params: dict, primes, threads: int):
             int(params["_scan_T"]), primes, threads=threads
         )
     return scan_cache[key]
+
+
+def _top_spectrum(scan_cache: dict, params: dict, threads: int):
+    """The count target's spectrum below ``_scan_T``, the top of the grid,
+    from a count or scan this run already made if there is one."""
+    kind, extra = _parse_target(params["target"])
+    top = params.get("_scan_T")
+    if kind == "projective":
+        key = (top, "projective", extra)
+        if key not in scan_cache:
+            scan_cache[key] = count_projective(extra, int(top))
+        return scan_cache[key]
+    primes = tuple(int(p) for p in params.get("primes", "").split(",") if p)
+    scan = scan_cache.get((top, primes))
+    if scan is None:
+        scan = _shared_pgl2_scan(scan_cache, params, (), threads)
+    return scan.spectrum()
 
 
 def payload_zeta(params: dict) -> dict:
@@ -384,19 +401,20 @@ def payload_equidist(params: dict, T: int, scan_cache: dict, threads: int) -> di
 # the driver
 
 
-def run(config: ExperimentConfig) -> list[ResultRecord]:
-    """Execute a subcommand over its grid, cache-aware; returns the records."""
+def run(config: ExperimentConfig, scan_cache: dict | None = None) -> list[ResultRecord]:
+    """Execute a subcommand over its grid, cache-aware; returns the records.
+
+    The scans and counts it makes are left in ``scan_cache`` if given.
+    """
     cache = ResultCache(config.cache_path, __version__, config.allow_stale)
     rng = random.Random(config.seed)
     records: list[ResultRecord] = []
-    scan_cache: dict = {}
+    scan_cache = {} if scan_cache is None else scan_cache
     params = dict(config.parameters)
 
-    if config.subcommand in ("count", "equidist") and _parse_target(
-        params.get("target", "pgl2-adjoint")
-    )[0] != "projective":
-        # one scan at the top of the grid serves every threshold
-        params["_scan_T"] = str(max(config.grid)) if config.grid else params.get("T", "0")
+    if config.subcommand in ("count", "equidist"):
+        # one scan or count at the top of the grid serves every threshold
+        params["_scan_T"] = _top_of_grid(config)
 
     grid = config.grid or [0]
     for T in grid:
@@ -457,11 +475,10 @@ def _grid_counts_for_fit(config, params, scan_cache) -> list[tuple[int, int]]:
     if not grid:
         raise ConfigError("fit needs --count-grid T1,T2,...")
     kind, extra = _parse_target(params.get("target", "pgl2-adjoint"))
+    scan_params = dict(params, _scan_T=str(max(grid)))
     if kind == "projective":
-        spectrum = count_projective(extra, max(grid))
+        spectrum = _top_spectrum(scan_cache, scan_params, config.threads)
         return [(t, spectrum.count_below(t)) for t in grid]
-    scan_params = dict(params)
-    scan_params["_scan_T"] = str(max(grid))
     scan = _shared_pgl2_scan(scan_cache, scan_params, (), config.threads)
     if kind == "pgl2":
         return [(t, scan.spectrum(t).total) for t in grid]
@@ -578,17 +595,18 @@ def _print_table(payload: dict, indent: str = "") -> None:
             print(f"{indent}{k}: {v}")
 
 
-def _write_csv(records: list[ResultRecord], path: str, config: ExperimentConfig) -> None:
-    """Full (height, count) spectrum of the last count query, if any."""
+def _top_of_grid(config: ExperimentConfig) -> str:
+    return str(max(config.grid)) if config.grid else config.parameters.get("T", "0")
+
+
+def _write_csv(path: str, config: ExperimentConfig, scan_cache: dict) -> None:
+    """Full (height, count) spectrum of the count query at the top of the
+    grid, if any; it scans again only when ``run`` found every grid point
+    in the results cache."""
     if config.subcommand != "count":
         return
-    kind, extra = _parse_target(config.parameters["target"])
-    tmax = max(config.grid)
-    if kind == "projective":
-        spectrum = count_projective(extra, tmax)
-    else:
-        scan = scan_pgl2_adjoint(tmax, threads=config.threads)
-        spectrum = scan.spectrum()
+    params = dict(config.parameters, _scan_T=_top_of_grid(config))
+    spectrum = _top_spectrum(scan_cache, params, config.threads)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("height,count\n")
         for h in sorted(spectrum.counts):
@@ -603,10 +621,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         config = config_from_args(args)
-        records = run(config)
+        scan_cache: dict = {}
+        records = run(config, scan_cache)
         _print_records(records, args.json)
         if args.csv:
-            _write_csv(records, args.csv, config)
+            _write_csv(args.csv, config, scan_cache)
         return EXIT_OK
     except (ConfigError, RootDataError, ZetaError, MixingError, ValueError) as exc:
         if isinstance(exc, ResourceGuardError):

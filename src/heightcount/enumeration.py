@@ -18,10 +18,24 @@ PGL_2 scan also records, per tracked prime p, the joint distribution of
 adjoint image at p -- equivalently val_p(det g) for primitive g -- feeding
 the local equidistribution checks.
 
-The scan is organized so the inner two entries form a vectorized 2d grid;
-an exact symmetry (b, c) -> (-b, -c) of the a >= 1 slice halves the work.
-Work partitions merge by addition, so any slicing (including threaded runs)
-produces identical results.
+The PGL_2 scan runs over the absolute entries (x, y, z, w) = (|a|, |b|,
+|c|, |d|) in [0, B]^4 and the sign eps of ad * bc, on which the height and
+|det| alone depend: with P = xw and Q = yz, the ad + bc entry has absolute
+value P + Q and |det| = |P - Q| when eps = +, and the other way round when
+eps = -.  A cell stands for its canonical-sign matrices: 4 under each eps
+when P, Q > 0, else 2^(nonzero entries - 1) under one.  The row swap and
+the column swap preserve height, |det| and primitivity as well, and
+between them they carry the first position of (x, y, z, w) to each of the
+four, so every orbit has a point whose first entry x is the largest.  The
+scan visits only those: the cube [0, x]^3 of (y, z, w) for each x, about
+B^4/4 cells where the signed entries halved by (b, c) -> (-b, -c) took
+(2B+1)^4/4.  Each orbit counts at its lexicographically largest point,
+weighted by its size.  Inside the cube (0 < y, z, w < x) every cell stands
+for 16 matrices under each eps; the cells on its surface are weighted one
+by one.  The work is cut into blocks of a bounded number of cells whatever
+T is, the blocks are shared among threads, and partial counts merge by
+integer addition, so any partition (any thread count) gives identical
+results.
 """
 
 from __future__ import annotations
@@ -49,7 +63,8 @@ __all__ = [
     "cartan_statistics",
 ]
 
-# elementwise operations allowed in one scan, ~minutes of numpy time
+# work allowed in one enumeration: the cells a PGL_2 scan visits, or
+# T (2T-1)^n for P^n
 DEFAULT_WORK_LIMIT = 3 * 10**10
 
 
@@ -99,11 +114,15 @@ class HeightSpectrum:
 
     def count_below(self, T: int) -> int:
         """Number of points with height < T; requires T <= threshold."""
+        return self.below(T).total
+
+    def below(self, T: int) -> "HeightSpectrum":
+        """The spectrum of the points with height < T; requires T <= threshold."""
         if T > self.threshold:
             raise IncompleteSpectrumError(
                 f"spectrum complete below {self.threshold}, asked for {T}"
             )
-        return sum(c for h, c in self.counts.items() if h < T)
+        return HeightSpectrum({h: c for h, c in self.counts.items() if h < T}, threshold=T)
 
     def merge(self, other: "HeightSpectrum") -> "HeightSpectrum":
         merged = dict(self.counts)
@@ -214,6 +233,7 @@ class PGL2Scan:
     radius: int
     height_counts: np.ndarray  # shape (threshold,), index = height
     joint: dict[int, np.ndarray]  # p -> shape (kmax+1, threshold)
+    cells_visited: int = 0  # work done, not a result: kept out of payloads
 
     def spectrum(self, T: int | None = None) -> HeightSpectrum:
         T = self.threshold if T is None else T
@@ -239,60 +259,159 @@ class PGL2Scan:
         return CartanHistogram(p=p, freq={int(k): int(c) for k, c in enumerate(per_k) if c})
 
 
-def _pgl2_slice(a_values, B, T, primes, vluts, kmaxs, bchunk=48):
-    """Scan the canonical-sign slices with leading entry a in a_values.
+# cells per block of the scan, whatever T is: a numpy temporary of int32
+# cells then takes 256 KB, and a block's temporaries stay in L2 cache
+_BLOCK_CELLS = 1 << 16
+# the scan's cell values (heights, |det|, T as the skip marker) are int32
+_INT32_MAX = 2**31 - 1
 
-    Returns (height_counts, joint) accumulators for this slice only.
+
+def _reduced_cells(B: int) -> int:
+    """Cells the scan visits with entries bounded by B: the cube
+    [0, x]^3 of (y, z, w) for each x = 1..B."""
+    return ((B + 1) * (B + 2) // 2) ** 2 - 1
+
+
+class _Tally:
+    """Accumulators of one worker: counts per height and, per tracked prime,
+    counts per (k, height) for k >= 1 (the k = 0 row is the total minus
+    these, filled in at the end)."""
+
+    def __init__(self, T: int, vluts: dict, kmaxs: dict):
+        self.T = T
+        self.vluts = vluts
+        self.heights = np.zeros(T, dtype=np.int64)
+        self.joint = {p: np.zeros((kmaxs[p], T), dtype=np.int64) for p in vluts}
+
+    def add(self, h: np.ndarray, det: np.ndarray, weights=None) -> None:
+        """Count matrices of height h and |det| det, one per entry or
+        ``weights`` (an array aligned with h) of them."""
+        if not h.size:
+            return
+        # bins only from the least height up: a block's heights are >= x^2
+        lo = int(h.min())
+        width = self.T - lo
+        h = h - lo
+        self.heights[lo:] += _bincount(h, weights, width)
+        for p, vlut in self.vluts.items():
+            k = np.take(vlut, det)
+            hit = np.flatnonzero(k)  # only where p | det
+            idx = np.take(k, hit).astype(np.intp) * width + np.take(h, hit) - width
+            w = None if weights is None else np.take(weights, hit)
+            rows = self.joint[p]
+            rows[:, lo:] += _bincount(idx, w, len(rows) * width).reshape(-1, width)
+
+
+def _bincount(idx: np.ndarray, weights, n: int) -> np.ndarray:
+    c = np.bincount(idx, weights=weights, minlength=n)
+    # weighted counts are float sums of small integers: exact
+    return c if weights is None else c.astype(np.int64)
+
+
+def _tally_cells(tally: _Tally, Hc, P, Q, w_minus=None, w_plus=None) -> None:
+    """Count cells under both signs eps = sign(ad * bc).
+
+    Hc is the height without the ad + bc entry (T on cells not counted),
+    P = |ad| and Q = |bc|; w_minus and w_plus, arrays shaped like Hc, are
+    the canonical matrices a cell stands for under each sign (one if None).
     """
-    rng = np.arange(-B, B + 1, dtype=np.int32)
-    C2d = rng[:, None]
-    D2d = rng[None, :]
-    gcd_cd = np.gcd(np.abs(C2d), np.abs(D2d)).astype(np.int32)
-    abs1 = np.abs(rng)
-    inner_max = np.maximum(np.maximum(C2d * C2d, D2d * D2d), 2 * np.abs(C2d * D2d))
-    C3 = rng[None, :, None]
-    D3 = rng[None, None, :]
-    gcd_lut = np.gcd.outer(
-        np.arange(B + 1, dtype=np.int32), np.arange(B + 1, dtype=np.int32)
-    )
-    height_counts = np.zeros(T, dtype=np.int64)
-    joint = {p: np.zeros((kmaxs[p] + 1) * T, dtype=np.int64) for p in primes}
+    T = tally.T
+    S = P + Q  # eps = -: |det| = P + Q and |ad + bc| = |P - Q|
+    D = P - Q  # eps = +: |det| = |P - Q| and |ad + bc| = P + Q
+    np.abs(D, out=D)
+    H = np.maximum(Hc, D)
+    keep = H < T
+    h, s, d = H[keep], S[keep], D[keep]
+    if w_minus is not None:
+        w_minus, w_plus = w_minus[keep], w_plus[keep]
+    tally.add(h, s, w_minus)
+    h_plus = np.maximum(h, s)  # = max(Hc, P + Q), as P + Q >= |P - Q|
+    ok = (h_plus < T) & (d != 0)
+    tally.add(h_plus[ok], d[ok], None if w_plus is None else w_plus[ok])
 
-    def do(a: int, bs: np.ndarray, weight: int):
-        b3 = bs[:, None, None]
-        det = np.int32(a) * D3 - b3 * C3
-        cross = np.abs(np.int32(a) * D3 + b3 * C3)  # |ad + bc|
-        col_max = np.maximum(inner_max, abs(a) * abs1[:, None])  # per-a 2d part
-        H = np.maximum(col_max[None, :, :], cross)
-        np.maximum(H, (np.abs(bs)[:, None] * abs1[None, :])[:, None, :], out=H)
-        s_ab = np.maximum(a * a, np.maximum(bs * bs, 2 * np.abs(a * bs))).astype(np.int32)
-        np.maximum(H, s_ab[:, None, None], out=H)
-        mask = (H < T) & (det != 0)
-        g_ab = gcd_lut[abs(a), np.abs(bs)]
-        mask &= gcd_lut[g_ab[:, None, None], gcd_cd[None, :, :]] == 1
-        hsel = H[mask].astype(np.int64)
-        np.add(height_counts, weight * np.bincount(hsel, minlength=T), out=height_counts)
-        if primes:
-            dsel = np.abs(det[mask]).astype(np.int64)
-            for p in primes:
-                k = vluts[p][dsel]
-                joint[p] += weight * np.bincount(
-                    k * T + hsel, minlength=(kmaxs[p] + 1) * T
-                )
 
-    bpos = np.arange(1, B + 1, dtype=np.int32)
-    for a in a_values:
-        if a == 0:
-            # canonical sign: a = 0 forces b >= 1; no symmetry shortcut
-            for lo in range(0, B, bchunk):
-                do(0, bpos[lo : lo + bchunk], 1)
-        else:
-            # (b, c) -> (-b, -c) preserves height, det, and primitivity,
-            # so b > 0 stands for both signs
-            do(a, np.zeros(1, dtype=np.int32), 1)
-            for lo in range(0, B, bchunk):
-                do(a, bpos[lo : lo + bchunk], 2)
-    return height_counts, joint
+def _scan_bulk(x: int, zlo: int, zhi: int, gcd_lut, tally: _Tally) -> None:
+    """Cells with 1 <= y, w < x and zlo <= z < zhi (within [1, x)).
+
+    x is the strict maximum of a nonzero cell, so the cell is the only point
+    of its orbit in the domain (weight 4), and each sign eps has 4 canonical
+    sign patterns: every cell stands for 16 matrices under each eps.  The
+    tally counts cells; the factor 16 is applied when tallies merge.  In
+    the cube [0, x]^3, Hc = max(x^2, 2xy, 2zw).
+    """
+    T = tally.T
+    y = np.arange(1, x, dtype=np.int32)
+    z = np.arange(zlo, zhi, dtype=np.int32)[:, None]
+    w = np.arange(1, x, dtype=np.int32)[None, :]
+    # primitivity needs only gcd(x, y) per y: one (z, w) table per divisor
+    divs, row = np.unique(gcd_lut[x, 1:x], return_inverse=True)
+    coprime = gcd_lut[divs[:, None, None], gcd_lut[z, w][None]] == 1
+    table = np.where(coprime, np.maximum(x * x, 2 * z * w)[None], T).astype(np.int32)
+    P = (x * w)[None]
+    step = max(1, _BLOCK_CELLS // table[0].size)
+    for lo in range(0, x - 1, step):
+        ys = y[lo : lo + step]
+        Hc = np.take(table, row[lo : lo + step], axis=0)
+        np.maximum(Hc, (2 * x * ys)[:, None, None], out=Hc)
+        _tally_cells(tally, Hc, P, ys[:, None, None] * z[None])
+
+
+def _surface_cells(x: int):
+    """The (y, z, w) in [0, x]^3 with a coordinate equal to 0 or x."""
+    full = np.arange(x + 1, dtype=np.int32)
+    ends, mid = full[[0, x]], full[1:x]
+    grids = [
+        np.meshgrid(*axes, indexing="ij")
+        for axes in ((ends, full, full), (mid, ends, full), (mid, mid, ends))
+    ]
+    return [np.concatenate([g[i].ravel() for g in grids]) for i in range(3)]
+
+
+def _scan_surface(xlo: int, xhi: int, gcd_lut, tally: _Tally) -> None:
+    """The cells of the cubes x = xlo..xhi-1 outside the bulk: y, z or w is
+    0 or equal to x.  Weights are worked out per cell."""
+    parts = [(x, *_surface_cells(x)) for x in range(xlo, xhi)]
+    X = np.concatenate([np.full(len(p[1]), p[0], dtype=np.int32) for p in parts])
+    Y, Z, W = (np.concatenate([p[i] for p in parts]) for i in (1, 2, 3))
+    # Each orbit of the row swap R and the column swap C counts at its
+    # lexicographically largest point, with the orbit's size.  As x is the
+    # largest entry, the cell loses to R (z, w, x, y) only if z = x and
+    # y < w, and R fixes it if z = x and y = w; likewise C (y, x, w, z) and
+    # RC (w, z, y, x).
+    ty, tz, tw = Y == X, Z == X, W == X
+    rep = ~(tz & (Y < W)) & ~(ty & (Z < W)) & ~(tw & (Y < Z))
+    # gcd(x, y, z, w) == 1, by flat lookups (faster than 2d fancy indexing)
+    lut, n = gcd_lut.ravel(), gcd_lut.shape[1]
+    rep &= np.take(lut, np.take(lut, X * n + Y) * n + np.take(lut, Z * n + W)) == 1
+    fixed = (tz & (Y == W)).astype(np.int32) + (ty & (Z == W)) + (tw & (Y == Z))
+    orbit = 4 // (1 + fixed)
+    # canonical sign patterns: 4 under each eps when ad, bc != 0, else all
+    # 2^(nonzero entries - 1) under one eps (both give one height and |det|)
+    nonzero = (Y > 0).astype(np.int32) + (Z > 0) + (W > 0)  # besides x
+    both = nonzero == 3
+    w_minus = np.where(both, 4, 0) * orbit
+    w_plus = np.where(both, 4, 1 << nonzero) * orbit
+    Hc = np.maximum(X * X, np.maximum(2 * X * Y, 2 * Z * W))
+    _tally_cells(tally, np.where(rep, Hc, tally.T), X * W, Y * Z, w_minus, w_plus)
+
+
+def _scan_tasks(B: int) -> list[tuple[int, tuple]]:
+    """(cells, task) pairs covering the domain: bulk slabs of one x and a
+    z-range, and surface runs of consecutive x, each about a block."""
+    tasks = []
+    for x in range(2, B + 1):
+        n = x - 1
+        step = max(1, _BLOCK_CELLS // (n * n))
+        for zlo in range(1, x, step):
+            zhi = min(x, zlo + step)
+            tasks.append((n * n * (zhi - zlo), ("bulk", x, zlo, zhi)))
+    xlo, cells = 1, 0
+    for x in range(1, B + 1):
+        cells += 6 * x * x + 2
+        if cells >= _BLOCK_CELLS or x == B:
+            tasks.append((cells, ("surface", xlo, x + 1)))
+            xlo, cells = x + 1, 0
+    return tasks
 
 
 def scan_pgl2_adjoint(
@@ -311,6 +430,8 @@ def scan_pgl2_adjoint(
     if T < 1:
         raise EnumerationError("T must be >= 1")
     primes = tuple(sorted(set(int(p) for p in primes_tracked)))
+    if primes and primes[0] < 2:
+        raise EnumerationError(f"tracked primes must be >= 2, got {primes[0]}")
     B = math.isqrt(T) if radius is None else int(radius)
     if radius is not None and B < math.isqrt(T):
         raise EnumerationError(
@@ -318,30 +439,52 @@ def scan_pgl2_adjoint(
         )
     if B < 1:
         B = 1
-    if (2 * B + 1) ** 4 > work_limit:
-        raise ResourceGuardError(
-            f"(2B+1)^4 = {(2 * B + 1) ** 4} exceeds work limit {work_limit}"
-        )
     dmax = 2 * B * B
-    vluts = {p: _val_table(p, dmax) for p in primes}
-    kmaxs = {p: int(vluts[p].max()) for p in primes}
+    if dmax > _INT32_MAX:
+        raise EnumerationError(
+            f"radius {B}: |det| and heights up to 2B^2 = {dmax} overflow int32"
+        )
+    cells = _reduced_cells(B)
+    if cells > work_limit:
+        raise ResourceGuardError(f"{cells} cells to visit exceed work limit {work_limit}")
+    kmaxs = {}
+    for p in primes:
+        k, pk = 0, p
+        while pk <= dmax:
+            k, pk = k + 1, pk * p
+        kmaxs[p] = k
+    # a counted cell has entries below sqrt(T), so |det| < 2T
+    vluts = {p: _val_table(p, min(dmax, 2 * T)).astype(np.int8) for p in primes}
+    gcd_lut = np.gcd.outer(np.arange(B + 1, dtype=np.int32), np.arange(B + 1, dtype=np.int32))
 
-    a_all = list(range(0, B + 1))
+    def work(batch) -> tuple[_Tally, _Tally]:
+        bulk, surface = _Tally(T, vluts, kmaxs), _Tally(T, vluts, kmaxs)
+        for kind, *args in batch:
+            if kind == "bulk":
+                _scan_bulk(*args, gcd_lut, bulk)
+            else:
+                _scan_surface(*args, gcd_lut, surface)
+        return bulk, surface
+
+    # largest tasks first, each to the worker with the fewest cells
     threads = max(1, int(threads))
+    batches, loads = [[] for _ in range(threads)], [0] * threads
+    for size, task in sorted(_scan_tasks(B), key=lambda t: -t[0]):
+        i = loads.index(min(loads))
+        batches[i].append(task)
+        loads[i] += size
     if threads == 1:
-        hc, joint = _pgl2_slice(a_all, B, T, primes, vluts, kmaxs)
+        tallies = [work(batches[0])]
     else:
-        slices = [a_all[i::threads] for i in range(threads)]
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(
-                ex.map(lambda s: _pgl2_slice(s, B, T, primes, vluts, kmaxs), slices)
-            )
-        hc = sum((part[0] for part in parts), np.zeros(T, dtype=np.int64))
-        joint = {
-            p: sum(part[1][p] for part in parts) for p in primes
-        }
-    joint2 = {p: joint[p].reshape(kmaxs[p] + 1, T) for p in primes}
-    return PGL2Scan(threshold=T, radius=B, height_counts=hc, joint=joint2)
+            tallies = list(ex.map(work, batches))
+    # integer sums: any partition of the tasks merges to the same arrays
+    hc = sum(16 * bulk.heights + surface.heights for bulk, surface in tallies)
+    joint = {}
+    for p in primes:
+        rest = sum(16 * bulk.joint[p] + surface.joint[p] for bulk, surface in tallies)
+        joint[p] = np.vstack([hc - rest.sum(axis=0), rest])
+    return PGL2Scan(threshold=T, radius=B, height_counts=hc, joint=joint, cells_visited=sum(loads))
 
 
 def count_pgl2_adjoint(

@@ -281,6 +281,54 @@ def test_main_csv_output(tmp_path):
     assert lines[1] == "1,4"
 
 
+def _spectrum_csv(spectrum) -> str:
+    return "height,count\n" + "".join(f"{h},{c}\n" for h, c in sorted(spectrum.counts.items()))
+
+
+def _count_calls(monkeypatch, name):
+    from heightcount import cli
+
+    calls = []
+    real = getattr(cli, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def test_cold_count_csv_scans_once(tmp_path, monkeypatch):
+    from heightcount.enumeration import scan_pgl2_adjoint
+
+    calls = _count_calls(monkeypatch, "scan_pgl2_adjoint")
+    csv_path = tmp_path / "spectrum.csv"
+    argv = ["--cache", str(tmp_path / "c.jsonl"), "--csv", str(csv_path), "count",
+            "--target", "pgl2-adjoint", "--grid", "16,64", "--primes", "2"]
+    assert main(argv) == 0
+    assert len(calls) == 1
+    expected = _spectrum_csv(scan_pgl2_adjoint(64).spectrum())
+    assert csv_path.read_text() == expected
+    # every grid point is now a cache hit: only the CSV needs a scan
+    csv_path.unlink()
+    assert main(argv) == 0
+    assert len(calls) == 2
+    assert csv_path.read_text() == expected
+
+
+def test_cold_projective_count_csv_counts_once(tmp_path, monkeypatch):
+    from heightcount.enumeration import count_projective
+
+    calls = _count_calls(monkeypatch, "count_projective")
+    csv_path = tmp_path / "spectrum.csv"
+    argv = ["--cache", str(tmp_path / "c.jsonl"), "--json", "--csv", str(csv_path),
+            "count", "--target", "projective:1", "--grid", "6,12"]
+    assert main(argv) == 0
+    assert len(calls) == 1
+    assert csv_path.read_text() == _spectrum_csv(count_projective(1, 12))
+
+
 def test_main_config_file(tmp_path, capsys):
     cfg_file = tmp_path / "rs.cfg"
     cfg_file.write_text("cartan=[[2,-1],[-1,2]]\nfactors=[[1,2]]\ngalois=[[1],[2]]\n")

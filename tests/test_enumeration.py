@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -19,6 +20,7 @@ from heightcount.enumeration import (
     count_pgl2_adjoint,
     count_projective,
     scan_pgl2_adjoint,
+    _val_table,
 )
 from heightcount.heights import adjoint_rep, global_height, smith_exponents
 
@@ -102,6 +104,91 @@ def brute_pgl2(T, bound, primes=()):
     return counts, hists
 
 
+# The scan this package used before the fundamental-domain scan: signed
+# entries (a, b, c, d) in [-B, B]^4, canonical sign, halved only by
+# (b, c) -> (-b, -c).  Kept here as an exact oracle.
+
+
+def _signed_entry_slice(a_values, B, T, primes, vluts, kmaxs, bchunk=48):
+    rng = np.arange(-B, B + 1, dtype=np.int32)
+    C2d = rng[:, None]
+    D2d = rng[None, :]
+    gcd_cd = np.gcd(np.abs(C2d), np.abs(D2d)).astype(np.int32)
+    abs1 = np.abs(rng)
+    inner_max = np.maximum(np.maximum(C2d * C2d, D2d * D2d), 2 * np.abs(C2d * D2d))
+    C3 = rng[None, :, None]
+    D3 = rng[None, None, :]
+    gcd_lut = np.gcd.outer(
+        np.arange(B + 1, dtype=np.int32), np.arange(B + 1, dtype=np.int32)
+    )
+    height_counts = np.zeros(T, dtype=np.int64)
+    joint = {p: np.zeros((kmaxs[p] + 1) * T, dtype=np.int64) for p in primes}
+
+    def do(a: int, bs: np.ndarray, weight: int):
+        b3 = bs[:, None, None]
+        det = np.int32(a) * D3 - b3 * C3
+        cross = np.abs(np.int32(a) * D3 + b3 * C3)  # |ad + bc|
+        col_max = np.maximum(inner_max, abs(a) * abs1[:, None])
+        H = np.maximum(col_max[None, :, :], cross)
+        np.maximum(H, (np.abs(bs)[:, None] * abs1[None, :])[:, None, :], out=H)
+        s_ab = np.maximum(a * a, np.maximum(bs * bs, 2 * np.abs(a * bs))).astype(np.int32)
+        np.maximum(H, s_ab[:, None, None], out=H)
+        mask = (H < T) & (det != 0)
+        g_ab = gcd_lut[abs(a), np.abs(bs)]
+        mask &= gcd_lut[g_ab[:, None, None], gcd_cd[None, :, :]] == 1
+        hsel = H[mask].astype(np.int64)
+        np.add(height_counts, weight * np.bincount(hsel, minlength=T), out=height_counts)
+        if primes:
+            dsel = np.abs(det[mask]).astype(np.int64)
+            for p in primes:
+                k = vluts[p][dsel]
+                joint[p] += weight * np.bincount(
+                    k * T + hsel, minlength=(kmaxs[p] + 1) * T
+                )
+
+    bpos = np.arange(1, B + 1, dtype=np.int32)
+    for a in a_values:
+        if a == 0:
+            # canonical sign: a = 0 forces b >= 1
+            for lo in range(0, B, bchunk):
+                do(0, bpos[lo : lo + bchunk], 1)
+        else:
+            # b > 0 stands for both signs of (b, c)
+            do(a, np.zeros(1, dtype=np.int32), 1)
+            for lo in range(0, B, bchunk):
+                do(a, bpos[lo : lo + bchunk], 2)
+    return height_counts, joint
+
+
+@functools.lru_cache(maxsize=None)
+def signed_entry_scan(T, primes=(2, 3, 5)):
+    """(height_counts, {p: joint}) of the signed-entry scan with the default
+    radius floor(sqrt(T))."""
+    B = max(1, math.isqrt(T))
+    vluts = {p: _val_table(p, 2 * B * B) for p in primes}
+    kmaxs = {p: int(vluts[p].max()) for p in primes}
+    hc, joint = _signed_entry_slice(range(B + 1), B, T, primes, vluts, kmaxs)
+    return hc, {p: joint[p].reshape(kmaxs[p] + 1, T) for p in primes}
+
+
+@pytest.mark.parametrize("primes", [(), (2,), (2, 3, 5)])
+@pytest.mark.parametrize("T", [1, 2, 5, 16, 17, 100, 1000, 2048, 4096])
+def test_pgl2_scan_matches_signed_entry_oracle(T, primes):
+    hc, joint = signed_entry_scan(T)
+    for radius in (None, 2 * math.isqrt(T)):
+        for threads in (1, 2, 3):
+            scan = scan_pgl2_adjoint(T, primes, radius=radius, threads=threads)
+            assert np.array_equal(scan.height_counts, hc)
+            assert sorted(scan.joint) == list(primes)
+            for p in primes:
+                rows = joint[p].shape[0]
+                if radius is None:
+                    assert scan.joint[p].shape == joint[p].shape
+                assert np.array_equal(scan.joint[p][:rows], joint[p])
+                # a wider radius adds rows for larger |det| only; they stay empty
+                assert not scan.joint[p][rows:].any()
+
+
 def test_pgl2_t2_matches_exhaustive_signs():
     spectrum, _ = count_pgl2_adjoint(2)
     ref, _ = brute_pgl2(2, 1)
@@ -155,6 +242,36 @@ def test_pgl2_thread_partition_determinism():
 def test_pgl2_resource_guard():
     with pytest.raises(ResourceGuardError):
         scan_pgl2_adjoint(10**8)
+
+
+def test_pgl2_guard_counts_reduced_cells():
+    # B = 16: the cubes [0, x]^3 of (y, z, w) for x = 1..16
+    cells = sum((x + 1) ** 3 for x in range(1, 17))
+    assert scan_pgl2_adjoint(256, work_limit=cells).cells_visited == cells
+    with pytest.raises(ResourceGuardError):
+        scan_pgl2_adjoint(256, work_limit=cells - 1)
+
+
+def test_pgl2_cells_visited_reduced_domain():
+    B = math.isqrt(2048)
+    scan = scan_pgl2_adjoint(2048, (2, 3), threads=2)
+    assert scan.cells_visited == sum((x + 1) ** 3 for x in range(1, B + 1))
+    assert scan.cells_visited <= (2 * B + 1) ** 4 / 16
+
+
+def test_pgl2_int32_range_guard_fails_fast():
+    # 2B^2 >= 2^31: heights and |det| would overflow int32; the guard trips
+    # before the work guard and before anything is allocated
+    with pytest.raises(EnumerationError, match="int32") as info:
+        scan_pgl2_adjoint(2**20, (2,), radius=2**15, work_limit=10**40)
+    assert not isinstance(info.value, ResourceGuardError)
+
+
+def test_pgl2_rejects_tracked_primes_below_2():
+    # p = 1 would never leave the p-power loops
+    for bad in ((1,), (0, 2)):
+        with pytest.raises(EnumerationError, match="primes"):
+            scan_pgl2_adjoint(16, bad)
 
 
 def test_pgl2_rejects_undercovering_radius():
