@@ -11,7 +11,6 @@ from .rootdata import (
     GaloisOrbits,
     ManinInvariants,
     RootSystem,
-    WeightVector,
     manin_invariants,
     named_root_system,
     two_rho_coeffs,
@@ -34,12 +33,10 @@ from .heights import (
 )
 from .enumeration import (
     CartanHistogram,
-    CountQuery,
     HeightSpectrum,
     PGL2Scan,
     cartan_statistics,
     convolve_counts,
-    count_pgl2_adjoint,
     count_projective,
     scan_pgl2_adjoint,
 )

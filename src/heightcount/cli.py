@@ -188,16 +188,6 @@ class ResultCache:
             fh.write(rec.line() + "\n")
 
 
-def cache_lookup(
-    cache_path: str,
-    digest: str,
-    tool_version: str = __version__,
-    allow_stale: bool = False,
-) -> ResultRecord | None:
-    """Exact-match retrieval of a cached record, or None."""
-    return ResultCache(cache_path, tool_version, allow_stale).lookup(digest)
-
-
 # --------------------------------------------------------------------------
 # subcommand payload builders (pure: params -> payload dict)
 

@@ -1,8 +1,10 @@
-"""Exhaustive, exact counting of rational points of bounded height.
+"""Exact counting of rational points of bounded height.
 
-Three targets are enumerated at desk scale:
+Three targets are counted at desk scale:
 
-* P^n(Q): primitive integer (n+1)-vectors modulo sign, height = max |entry|;
+* P^n(Q): primitive integer (n+1)-vectors modulo sign, height = max |entry|,
+  counted per height by Moebius inversion of the box counts: the points of
+  height h number 1/2 sum_{d | h} mu(d) [(2h/d+1)^(n+1) - (2h/d-1)^(n+1)];
 * PGL_2(Q) under the adjoint embedding: primitive 2x2 integer matrices with
   canonical sign and nonzero determinant, height = max |entry| of the 3x3
   adjoint-embedding image (an integer; see the heights module).  Since that
@@ -48,8 +50,9 @@ from typing import Iterable
 
 import numpy as np
 
+from .zeta import primes_below
+
 __all__ = [
-    "CountQuery",
     "HeightSpectrum",
     "CartanHistogram",
     "PGL2Scan",
@@ -57,15 +60,16 @@ __all__ = [
     "ResourceGuardError",
     "IncompleteSpectrumError",
     "count_projective",
-    "count_pgl2_adjoint",
     "scan_pgl2_adjoint",
     "convolve_counts",
     "cartan_statistics",
 ]
 
-# work allowed in one enumeration: the cells a PGL_2 scan visits, or
-# T (2T-1)^n for P^n
+# work allowed in one PGL_2 scan: the cells it visits
 DEFAULT_WORK_LIMIT = 3 * 10**10
+# largest (n+1) T for P^n: the spectrum holds T integers of about
+# (n+1) log2(2T) bits each
+_PROJECTIVE_LIMIT = 2**21
 
 
 class EnumerationError(ValueError):
@@ -73,25 +77,11 @@ class EnumerationError(ValueError):
 
 
 class ResourceGuardError(EnumerationError):
-    """The requested scan exceeds the configured work limit."""
+    """The requested count exceeds its work or size limit."""
 
 
 class IncompleteSpectrumError(EnumerationError):
     """A spectrum does not cover the height range a computation needs."""
-
-
-@dataclass(frozen=True)
-class CountQuery:
-    """What to count: target, threshold, and primes whose Cartan statistics
-    to track."""
-
-    target: str  # "projective:<n>" | "pgl2-adjoint" | "product-pgl2:<w1>,<w2>"
-    T: int
-    primes_tracked: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.T < 1:
-            raise EnumerationError("threshold T must be >= 1")
 
 
 @dataclass
@@ -161,54 +151,35 @@ def cartan_statistics(hist: CartanHistogram) -> dict[int, Fraction]:
 # P^n(Q)
 
 
-def count_projective(n: int, T: int, work_limit: int = DEFAULT_WORK_LIMIT) -> HeightSpectrum:
+def count_projective(n: int, T: int) -> HeightSpectrum:
     """Exact height spectrum of P^n(Q) points with height < T.
 
-    Enumerates the canonical representatives directly (first nonzero entry
-    positive), vectorizing the last coordinate; since height and gcd are
-    even in the last coordinate, it runs over y >= 0 with y > 0 counted for
-    both signs whenever the prefix already fixed the canonical sign.
+    Modulo sign, the integer (n+1)-vectors of height exactly m number
+    f(m) = ((2m+1)^(n+1) - (2m-1)^(n+1)) / 2: the box [-m, m]^(n+1) less
+    the box [-(m-1), m-1]^(n+1).  Such a vector is d times a primitive one
+    of height m/d, for its content d | m, so f is the Dirichlet convolution
+    of the primitive counts with 1, and Moebius inversion gives the points
+    of height h as sum_{d | h} mu(d) f(h/d).  The arithmetic is in Python
+    integers, exact for every n.
     """
-    if n < 1 or n > 4:
-        raise EnumerationError("projective enumeration supports 1 <= n <= 4")
+    if n < 1:
+        raise EnumerationError("projective space needs n >= 1")
     if T < 1:
         raise EnumerationError("T must be >= 1")
-    work = T * (2 * T - 1) ** n
-    if work > work_limit:
+    if (n + 1) * T > _PROJECTIVE_LIMIT:
         raise ResourceGuardError(
-            f"T (2T-1)^n = {work} exceeds work limit {work_limit}"
+            f"(n+1) T = {(n + 1) * T} exceeds the projective limit {_PROJECTIVE_LIMIT}"
         )
-    if T == 1:
-        return HeightSpectrum({}, threshold=1)
-
-    last = np.arange(0, T, dtype=np.int64)
-    buckets = np.zeros(T, dtype=np.int64)
-
-    def rec(prefix_gcd: int, prefix_max: int, depth: int, sign_fixed: bool):
-        if depth == n:
-            if not sign_fixed:
-                buckets[1] += 1  # the single point (0, ..., 0, 1)
-                return
-            g = np.gcd(prefix_gcd, last)
-            h = np.maximum(prefix_max, last)
-            ok = g == 1
-            hsel = h[ok]
-            np.add(buckets, 2 * np.bincount(hsel, minlength=T), out=buckets)
-            if ok[0]:  # y = 0 has no sign partner
-                buckets[prefix_max] -= 1
-            return
-        lo = 0 if not sign_fixed else -(T - 1)
-        for x in range(lo, T):
-            rec(
-                math.gcd(prefix_gcd, abs(x)),
-                max(prefix_max, abs(x)),
-                depth + 1,
-                sign_fixed or x > 0,
-            )
-
-    rec(0, 0, 0, False)
-    counts = {h: int(c) for h, c in enumerate(buckets) if c and h >= 1}
-    return HeightSpectrum(counts, threshold=T)
+    m = np.arange(T, dtype=object)
+    f = ((2 * m + 1) ** (n + 1) - (2 * m - 1) ** (n + 1)) // 2
+    mu = np.ones(T, dtype=np.int8)
+    for p in primes_below(T):
+        mu[::p] *= -1
+        mu[:: p * p] = 0
+    out = np.zeros(T, dtype=object)
+    for d in np.flatnonzero(mu[1:]) + 1:
+        out[d::d] += int(mu[d]) * f[1 : (T - 1) // d + 1]
+    return HeightSpectrum({h: int(c) for h, c in enumerate(out) if h}, threshold=T)
 
 
 # --------------------------------------------------------------------------
@@ -485,23 +456,6 @@ def scan_pgl2_adjoint(
         rest = sum(16 * bulk.joint[p] + surface.joint[p] for bulk, surface in tallies)
         joint[p] = np.vstack([hc - rest.sum(axis=0), rest])
     return PGL2Scan(threshold=T, radius=B, height_counts=hc, joint=joint, cells_visited=sum(loads))
-
-
-def count_pgl2_adjoint(
-    T: int,
-    primes_tracked: Iterable[int] = (),
-    radius: int | None = None,
-    threads: int = 1,
-    work_limit: int = DEFAULT_WORK_LIMIT,
-) -> tuple[HeightSpectrum, list[CartanHistogram]]:
-    """Exact spectrum of PGL_2(Q) adjoint heights < T plus per-prime Cartan
-    histograms of the counted points."""
-    scan = scan_pgl2_adjoint(
-        T, primes_tracked, radius=radius, threads=threads, work_limit=work_limit
-    )
-    spectrum = scan.spectrum()
-    hists = [scan.histogram(p) for p in sorted(scan.joint)]
-    return spectrum, hists
 
 
 # --------------------------------------------------------------------------

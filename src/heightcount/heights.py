@@ -148,7 +148,6 @@ class MeasureConvention:
     component carries a single positive calibration constant."""
 
     archimedean_scale: float = 1.0
-    finite_place_rule: str = "vol(U_v)=1"
 
     def __post_init__(self):
         if not self.archimedean_scale > 0:

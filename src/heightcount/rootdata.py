@@ -25,7 +25,6 @@ from typing import Sequence
 
 __all__ = [
     "RootSystem",
-    "WeightVector",
     "GaloisOrbits",
     "ManinInvariants",
     "RootDataError",
@@ -116,30 +115,6 @@ class RootSystem:
     @property
     def factor_blocks(self) -> tuple[frozenset[int], ...]:
         return self.factor_partition
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """A weight in both the fundamental-weight and simple-root bases."""
-
-    fund_coords: tuple[Fraction, ...]
-    root_coords: tuple[Fraction, ...]
-
-    @classmethod
-    def from_fundamental(cls, rs: RootSystem, fund: Sequence) -> "WeightVector":
-        fund_f = tuple(Fraction(x) for x in fund)
-        m = weight_to_root_basis(rs, fund_f)
-        return cls(fund_coords=fund_f, root_coords=tuple(m))
-
-    @classmethod
-    def from_root_basis(cls, rs: RootSystem, m: Sequence) -> "WeightVector":
-        m_f = tuple(Fraction(x) for x in m)
-        C = rs.cartan_matrix
-        fund = tuple(
-            sum(Fraction(C[j][i]) * m_f[j] for j in range(rs.rank))
-            for i in range(rs.rank)
-        )
-        return cls(fund_coords=fund, root_coords=m_f)
 
 
 @dataclass(frozen=True)

@@ -53,10 +53,9 @@ def test_cache_insert_and_lookup(tmp_path):
     got = cache.lookup("abc")
     assert got is not None and got.payload == {"v": 1}
     assert cache.lookup("missing") is None
-    from heightcount.cli import cache_lookup
-
-    assert cache_lookup(str(tmp_path / "c.jsonl"), "abc").payload == {"v": 1}
-    assert cache_lookup(str(tmp_path / "c.jsonl"), "missing") is None
+    fresh = ResultCache(str(tmp_path / "c.jsonl"), __version__)
+    assert fresh.lookup("abc").payload == {"v": 1}
+    assert fresh.lookup("missing") is None
 
 
 def test_cache_version_policy(tmp_path):
@@ -107,10 +106,9 @@ def test_count_is_cached_and_byte_identical(tmp_path):
     second = run(make_config(tmp_path, "count", params, grid=[16, 64]))
     assert [r.line() for r in first] == [r.line() for r in second]
     # and the totals agree with a direct enumeration
-    from heightcount.enumeration import count_pgl2_adjoint
+    from heightcount.enumeration import scan_pgl2_adjoint
 
-    spec16, _ = count_pgl2_adjoint(16)
-    assert first[0].payload["total"] == spec16.total
+    assert first[0].payload["total"] == scan_pgl2_adjoint(16).spectrum().total
 
 
 def test_count_payload_independent_of_threads(tmp_path):
@@ -125,9 +123,9 @@ def test_count_payload_independent_of_threads(tmp_path):
 def test_count_product_target(tmp_path):
     cfg = make_config(tmp_path, "count", {"target": "product-pgl2:1,2"}, grid=[64])
     (rec,) = run(cfg)
-    from heightcount.enumeration import convolve_counts, count_pgl2_adjoint
+    from heightcount.enumeration import convolve_counts, scan_pgl2_adjoint
 
-    s, _ = count_pgl2_adjoint(64)
+    s = scan_pgl2_adjoint(64).spectrum()
     assert rec.payload["total"] == convolve_counts(s, s, 1, 2, 64)
 
 
@@ -252,12 +250,20 @@ def test_main_resource_guard_exit_3(tmp_path):
             str(tmp_path / "c.jsonl"),
             "count",
             "--target",
-            "projective:4",
+            "projective:1",
             "--grid",
-            "100000",
+            "10000000",
         ]
     )
     assert code == 3
+
+
+def test_main_projective_any_dimension(tmp_path):
+    # P^5 has no enumeration cap: counted by the Moebius identity
+    code = main(
+        ["--cache", str(tmp_path / "c.jsonl"), "count", "--target", "projective:5", "--grid", "8"]
+    )
+    assert code == 0
 
 
 def test_main_csv_output(tmp_path):

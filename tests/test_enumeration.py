@@ -1,23 +1,23 @@
 import functools
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
+import mpmath
 
 from heightcount.enumeration import (
     CartanHistogram,
-    CountQuery,
     EnumerationError,
     HeightSpectrum,
     IncompleteSpectrumError,
     ResourceGuardError,
     cartan_statistics,
     convolve_counts,
-    count_pgl2_adjoint,
     count_projective,
     scan_pgl2_adjoint,
     _val_table,
@@ -45,10 +45,73 @@ def brute_projective(n, T):
     return counts
 
 
+# The enumerator count_projective used before the Moebius identity:
+# canonical representatives (first nonzero entry positive) with the last
+# coordinate vectorized.  Kept here as an exact oracle.
+
+
+def recursive_projective(n, T):
+    """Height counts of P^n(Q) points with height < T, by enumeration.
+
+    Height and gcd are even in the last coordinate, so it runs over y >= 0
+    with y > 0 counted for both signs whenever the prefix already fixed
+    the canonical sign.
+    """
+    if T == 1:
+        return {}
+    last = np.arange(0, T, dtype=np.int64)
+    buckets = np.zeros(T, dtype=np.int64)
+
+    def rec(prefix_gcd, prefix_max, depth, sign_fixed):
+        if depth == n:
+            if not sign_fixed:
+                buckets[1] += 1  # the single point (0, ..., 0, 1)
+                return
+            g = np.gcd(prefix_gcd, last)
+            h = np.maximum(prefix_max, last)
+            ok = g == 1
+            hsel = h[ok]
+            np.add(buckets, 2 * np.bincount(hsel, minlength=T), out=buckets)
+            if ok[0]:  # y = 0 has no sign partner
+                buckets[prefix_max] -= 1
+            return
+        lo = 0 if not sign_fixed else -(T - 1)
+        for x in range(lo, T):
+            rec(
+                math.gcd(prefix_gcd, abs(x)),
+                max(prefix_max, abs(x)),
+                depth + 1,
+                sign_fixed or x > 0,
+            )
+
+    rec(0, 0, 0, False)
+    return {h: int(c) for h, c in enumerate(buckets) if c and h >= 1}
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("T", [1, 2, 3, 6, 9])
 def test_projective_matches_brute_force(n, T):
     assert count_projective(n, T).counts == brute_projective(n, T)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("T", [1, 2, 3, 4])
+def test_projective_matches_brute_force_high_n(n, T):
+    assert count_projective(n, T).counts == brute_projective(n, T)
+
+
+@pytest.mark.parametrize("n,T", [(1, 3000), (2, 128), (3, 40), (4, 20)])
+def test_projective_matches_recursive_oracle(n, T):
+    assert count_projective(n, T).counts == recursive_projective(n, T)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_projective_schanuel_constant(n):
+    # Schanuel: N(t) ~ 2^n / zeta(n+1) t^(n+1)
+    s = count_projective(n, 10**4)
+    const = 2**n / float(mpmath.zeta(n + 1))
+    for t in (5000, 10**4):
+        assert abs(s.count_below(t) / t ** (n + 1) / const - 1) < 1e-3
 
 
 def test_projective_pinned_examples():
@@ -65,15 +128,19 @@ def test_projective_spectrum_consistency():
 
 
 def test_projective_resource_guard():
-    with pytest.raises(ResourceGuardError):
-        count_projective(4, 10**4)
+    # beyond the (n+1) T limit: rejected before anything is allocated
+    for n, T in ((1, 10**12), (10**7, 10)):
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceGuardError):
+            count_projective(n, T)
+        assert time.perf_counter() - t0 < 0.1
 
 
 def test_projective_rejects_bad_args():
     with pytest.raises(EnumerationError):
         count_projective(0, 10)
     with pytest.raises(EnumerationError):
-        count_projective(5, 10)
+        count_projective(1, 0)
 
 
 # --------------------------------------------------------------------------
@@ -190,13 +257,13 @@ def test_pgl2_scan_matches_signed_entry_oracle(T, primes):
 
 
 def test_pgl2_t2_matches_exhaustive_signs():
-    spectrum, _ = count_pgl2_adjoint(2)
+    spectrum = scan_pgl2_adjoint(2).spectrum()
     ref, _ = brute_pgl2(2, 1)
     assert spectrum.counts == ref
 
 
 def test_pgl2_t5_includes_diag_2_1():
-    spectrum, _ = count_pgl2_adjoint(5)
+    spectrum = scan_pgl2_adjoint(5).spectrum()
     # diag(2,1) has adjoint height 4 < 5
     assert 4 in spectrum.counts and spectrum.counts[4] >= 1
     ref, _ = brute_pgl2(5, 2)
@@ -204,12 +271,11 @@ def test_pgl2_t5_includes_diag_2_1():
 
 
 def test_pgl2_t64_matches_brute_force_with_histograms():
-    spectrum, hists = count_pgl2_adjoint(64, primes_tracked=(2, 3))
+    scan = scan_pgl2_adjoint(64, primes_tracked=(2, 3))
     ref_counts, ref_hists = brute_pgl2(64, 8, primes=(2, 3))
-    assert spectrum.counts == ref_counts
-    by_p = {h.p: h.freq for h in hists}
-    assert by_p[2] == ref_hists[2]
-    assert by_p[3] == ref_hists[3]
+    assert scan.spectrum().counts == ref_counts
+    assert scan.histogram(2).freq == ref_hists[2]
+    assert scan.histogram(3).freq == ref_hists[3]
 
 
 def test_pgl2_monotone_in_threshold():
@@ -277,11 +343,6 @@ def test_pgl2_rejects_tracked_primes_below_2():
 def test_pgl2_rejects_undercovering_radius():
     with pytest.raises(EnumerationError, match="cannot cover"):
         scan_pgl2_adjoint(256, radius=10)
-
-
-def test_count_query_validation():
-    with pytest.raises(EnumerationError):
-        CountQuery(target="pgl2-adjoint", T=0)
 
 
 # --------------------------------------------------------------------------

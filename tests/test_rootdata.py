@@ -8,7 +8,6 @@ from heightcount.rootdata import (
     GaloisOrbits,
     RootDataError,
     RootSystem,
-    WeightVector,
     adjoint_weight_root_coords,
     is_saturated,
     manin_invariants,
@@ -75,10 +74,9 @@ def test_adjoint_weight_is_highest_root(label):
     assert marks == highest
     assert all(isinstance(m, int) and m > 0 for m in marks)
     # and converting its fundamental coordinates back reproduces it exactly
-    w = WeightVector.from_root_basis(rs, marks)
-    assert weight_to_root_basis(rs, w.fund_coords) == tuple(
-        Fraction(m) for m in marks
-    )
+    C = rs.cartan_matrix
+    fund = [sum(C[j][i] * marks[j] for j in range(rs.rank)) for i in range(rs.rank)]
+    assert weight_to_root_basis(rs, fund) == tuple(Fraction(m) for m in marks)
 
 
 # --------------------------------------------------------------------------
