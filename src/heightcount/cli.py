@@ -14,7 +14,13 @@ Results are cached in an append-only JSON-lines file keyed by a digest of
 the canonicalized parameters; identical parameters always produce identical
 payloads (wall time and timestamps live outside the payload), so cache hits
 are byte-faithful.  Records from a different tool version are ignored
-unless --allow-stale is given.
+unless --allow-stale is given.  Each record is appended with one write(2)
+on an O_APPEND descriptor, which local Linux filesystems apply atomically,
+so there concurrent writers do not interleave inside a line (NFS gives no
+such guarantee).  A process indexes each cache file once, digest -> records in file
+order: a lookup reads the file, parses only the complete lines appended
+since the last lookup, and indexes the file again from scratch when its
+bytes no longer start with the ones already indexed (a copy or rewrite).
 
 Exit codes: 0 success, 2 invalid configuration, 3 resource guard tripped,
 4 internal invariant violation (including cache corruption).
@@ -23,11 +29,14 @@ Exit codes: 0 success, 2 invalid configuration, 3 resource guard tripped,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import hashlib
 import json
 import os
 import random
 import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -116,6 +125,35 @@ class ResultRecord:
         )
 
 
+_digits_lock = threading.Lock()
+_digits_depth = 0
+_digits_saved = 0
+
+
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift Python's limit on int <-> decimal str conversions while any
+    thread is inside a block: exact counts of projective spectra pass 4300
+    digits.  The limit is process-wide, so blocks may nest and overlap
+    across threads; the last one out restores the limit the first one met."""
+    global _digits_depth, _digits_saved
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit before 3.11
+        yield
+        return
+    with _digits_lock:
+        if _digits_depth == 0:
+            _digits_saved = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+        _digits_depth += 1
+    try:
+        yield
+    finally:
+        with _digits_lock:
+            _digits_depth -= 1
+            if _digits_depth == 0:
+                sys.set_int_max_str_digits(_digits_saved)
+
+
 def canonical_params(subcommand: str, params: dict) -> str:
     """Sorted-key JSON with exact values rendered as strings ('p/q' for
     rationals); the digest preimage."""
@@ -140,8 +178,69 @@ def params_digest(subcommand: str, params: dict) -> str:
 # cache
 
 
+def _parse_record(text: bytes) -> ResultRecord:
+    """One cache line as a record; raises ValueError, KeyError or TypeError
+    if it is malformed."""
+    obj = json.loads(text)
+    return ResultRecord(
+        params_digest=obj["digest"],
+        payload=obj["payload"],
+        created_at=obj["created_at"],
+        tool_version=obj["tool_version"],
+        wall_time=obj.get("wall_time", 0.0),
+    )
+
+
+def _warn_malformed(lineno: int, exc: Exception) -> None:
+    print(f"warning: skipping malformed cache line {lineno}: {exc}", file=sys.stderr)
+
+
+class _CacheIndex:
+    """The records of a cache file's newline-terminated prefix, by digest."""
+
+    def __init__(self):
+        self.prefix = b""  # the bytes indexed so far, ending in a newline
+        self.lines = 0
+        self.skipped_lines = 0
+        # digest -> [(tool_version, start, end) of its lines in prefix], in file order
+        self.by_digest: dict[str, list[tuple[str, int, int]]] = {}
+
+    def extend(self, data: bytes, end: int) -> None:
+        """Index the lines of data[len(prefix):end]; data must start with
+        the prefix and data[end - 1] be a newline."""
+        pos = len(self.prefix)
+        while pos < end:
+            stop = data.index(b"\n", pos)
+            self.lines += 1
+            line = data[pos:stop]
+            if line.strip():
+                try:
+                    rec = _parse_record(line)
+                    self.by_digest.setdefault(rec.params_digest, []).append(
+                        (rec.tool_version, pos, stop)
+                    )
+                except (ValueError, KeyError, TypeError) as exc:
+                    self.skipped_lines += 1
+                    _warn_malformed(self.lines, exc)
+            pos = stop + 1
+        self.prefix = data if end == len(data) else data[:end]
+
+
+# absolute cache path -> its index, shared by every ResultCache of the process
+_INDEXES: dict[str, _CacheIndex] = {}
+
+
 class ResultCache:
-    """Append-only JSON-lines store; malformed lines are skipped and counted."""
+    """Append-only JSON-lines store; malformed lines are skipped and counted.
+
+    ``skipped_lines`` is the number of malformed lines the last lookup met in
+    the file.  Each is warned about when its line is first indexed; an
+    unterminated last line is parsed again, and warned about, on every
+    lookup until a newline completes it.  Integers past Python's 4300-digit
+    str conversion limit parse and print only inside
+    ``_unlimited_int_digits``, as ``run`` and ``main`` use the cache;
+    elsewhere a line holding one counts as malformed.
+    """
 
     def __init__(self, path: str, tool_version: str, allow_stale: bool = False):
         self.path = path
@@ -149,43 +248,56 @@ class ResultCache:
         self.allow_stale = allow_stale
         self.skipped_lines = 0
 
-    def _iter_records(self):
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                    yield ResultRecord(
-                        params_digest=obj["digest"],
-                        payload=obj["payload"],
-                        created_at=obj["created_at"],
-                        tool_version=obj["tool_version"],
-                        wall_time=obj.get("wall_time", 0.0),
-                    )
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    self.skipped_lines += 1
-                    print(
-                        f"warning: skipping malformed cache line {lineno}: {exc}",
-                        file=sys.stderr,
-                    )
+    def _index(self) -> tuple[_CacheIndex, bytes]:
+        """The file's index, brought up to date, and its unterminated tail."""
+        try:
+            with open(self.path, "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
+            data = b""
+        key = os.path.abspath(self.path)
+        index = _INDEXES.get(key)
+        if index is None or not data.startswith(index.prefix):
+            index = _INDEXES[key] = _CacheIndex()
+        end = data.rfind(b"\n") + 1
+        if end > len(index.prefix):
+            index.extend(data, end)
+        return index, data[end:]
+
+    def _current(self, version) -> bool:
+        return version == self.tool_version or self.allow_stale
 
     def lookup(self, digest: str) -> ResultRecord | None:
-        found = None
-        for rec in self._iter_records():
-            if rec.params_digest != digest:
-                continue
-            if rec.tool_version != self.tool_version and not self.allow_stale:
-                continue
-            found = rec  # last write wins
-        return found
+        """The last record for ``digest`` under the version policy, with a
+        payload of its own."""
+        index, tail = self._index()
+        self.skipped_lines = index.skipped_lines
+        if tail.strip():
+            try:
+                rec = _parse_record(tail)
+            except (ValueError, KeyError, TypeError) as exc:
+                self.skipped_lines += 1
+                _warn_malformed(index.lines + 1, exc)
+            else:
+                if rec.params_digest == digest and self._current(rec.tool_version):
+                    return rec  # last write wins
+        for version, start, end in reversed(index.by_digest.get(digest, ())):
+            if self._current(version):
+                return _parse_record(index.prefix[start:end])
+        return None
 
     def append(self, rec: ResultRecord) -> None:
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(rec.line() + "\n")
+        data = (rec.line() + "\n").encode()
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            # one write(2) per record: on an O_APPEND descriptor a local Linux
+            # filesystem places it whole at the end of the file, so concurrent
+            # appends do not interleave there; the loop only finishes a short
+            # write (a signal, a full disk), which may then split the line
+            while data:
+                data = data[os.write(fd, data) :]
+        finally:
+            os.close(fd)
 
 
 # --------------------------------------------------------------------------
@@ -391,6 +503,7 @@ def payload_equidist(params: dict, T: int, scan_cache: dict, threads: int) -> di
 # the driver
 
 
+@_unlimited_int_digits()
 def run(config: ExperimentConfig, scan_cache: dict | None = None) -> list[ResultRecord]:
     """Execute a subcommand over its grid, cache-aware; returns the records.
 
@@ -481,6 +594,7 @@ def _grid_counts_for_fit(config, params, scan_cache) -> list[tuple[int, int]]:
 # argument parsing / entry point
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="heightcount",
@@ -612,10 +726,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = config_from_args(args)
         scan_cache: dict = {}
-        records = run(config, scan_cache)
-        _print_records(records, args.json)
-        if args.csv:
-            _write_csv(args.csv, config, scan_cache)
+        with _unlimited_int_digits():
+            records = run(config, scan_cache)
+            _print_records(records, args.json)
+            if args.csv:
+                _write_csv(args.csv, config, scan_cache)
         return EXIT_OK
     except (ConfigError, RootDataError, ZetaError, MixingError, ValueError) as exc:
         if isinstance(exc, ResourceGuardError):

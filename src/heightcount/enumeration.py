@@ -121,8 +121,10 @@ class HeightSpectrum:
         return HeightSpectrum(merged, min(self.threshold, other.threshold))
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Heights (int64) and counts, ascending; the counts are Python ints
+        in an object array, so their sums stay exact past 2^63."""
         hs = np.array(sorted(self.counts), dtype=np.int64)
-        cs = np.array([self.counts[int(h)] for h in hs], dtype=np.int64)
+        cs = np.array([self.counts[int(h)] for h in hs], dtype=object)
         return hs, cs
 
 

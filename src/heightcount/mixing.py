@@ -14,9 +14,8 @@ singular-value ratio e^{2t}:
 
     Xi_oo(t) = (2/pi) int_0^{pi/2} (e^{2t} cos^2 + e^{-2t} sin^2)^{-1/2},
 
-computed by adaptive Gauss-Kronrod quadrature after substitutions that keep
-the integrand smooth uniformly in t (the raw integrand develops a spike of
-width e^{-2t} at pi/2).
+which Gauss's formula int_0^{pi/2} (a^2 cos^2 + b^2 sin^2)^{-1/2} =
+pi / (2 AGM(a, b)) turns into the closed form Xi_oo(t) = 1 / AGM(e^t, e^{-t}).
 
 The global decay function of a rational point multiplies the local kernels
 over the finitely many places where the point leaves the maximal compact:
@@ -45,8 +44,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-from scipy.integrate import quad
 
 from .heights import (
     CartanCoordinates,
@@ -111,51 +108,26 @@ def hecke_recursion_residual(p: int, n: int) -> float:
     return abs(lhs - lam * xi_padic(p, n))
 
 
-def _xi_real_pieces(t: float, rel_tol: float) -> float:
-    """The K-average integral, rewritten piecewise so each piece is smooth.
-
-    With eps = e^{-4t},
-        I(t) = int_0^{pi/2} (cos^2 + eps sin^2)^{-1/2}
-             = int_0^{Y} dy / sqrt(1 + eps sinh^2 y)          (u = tan = sinh y)
-             + int_0^1 dx / sqrt((1 + eps x^2)(1 + x^2))      (w = 1/u = x sqrt(eps))
-    where Y = asinh(eps^{-1/2}); then Xi(t) = (2/pi) e^{-t} I(t).
-    """
-    eps = math.exp(-4.0 * t)
-    Y = math.asinh(1.0 / math.sqrt(eps))
-    i1, e1 = quad(
-        lambda y: 1.0 / math.sqrt(1.0 + eps * math.sinh(y) ** 2),
-        0.0,
-        Y,
-        epsrel=rel_tol,
-        epsabs=0.0,
-        limit=200,
-    )
-    i2, e2 = quad(
-        lambda x: 1.0 / math.sqrt((1.0 + eps * x * x) * (1.0 + x * x)),
-        0.0,
-        1.0,
-        epsrel=rel_tol,
-        epsabs=0.0,
-        limit=200,
-    )
-    val = i1 + i2
-    if not math.isfinite(val) or (e1 + e2) > 10 * rel_tol * val:
-        raise MixingError("spherical quadrature did not converge")
-    return (2.0 / math.pi) * math.exp(-t) * val
+def _agm(a: float, b: float) -> float:
+    """Arithmetic-geometric mean of a >= b > 0."""
+    while a - b > 4e-16 * a:
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return a
 
 
-def xi_real(t: float, rel_tol: float = 1e-10) -> float:
+def xi_real(t: float) -> float:
     """Harish-Chandra spherical value at the Cartan element with
     singular-value ratio e^{2t}; depends only on |t|.
 
-    The kernel is even with a flat maximum of 1 at t = 0, so below 1e-7 the
-    value is 1 to well past the quadrature tolerance; the clamp keeps
-    rounding noise from creeping above the mathematical range (0, 1].
+    1 / AGM(e^t, e^{-t}), evaluated as e^{-t} / AGM(1, e^{-2t}) so that no
+    intermediate overflows; the clamp keeps rounding noise from creeping
+    above the mathematical range (0, 1].
     """
     t = abs(float(t))
-    if t < 1e-7:
-        return 1.0
-    return min(1.0, _xi_real_pieces(t, rel_tol))
+    x = math.exp(-2.0 * t)
+    if x == 0.0:
+        raise MixingError("real kernel argument out of floating-point range")
+    return min(1.0, math.exp(-t) / _agm(1.0, x))
 
 
 def eta(place: Place, radial: CartanCoordinates) -> float:

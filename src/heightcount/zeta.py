@@ -15,9 +15,9 @@ pole through the zeta(s-1) comparison factor.
 
 At the real place the group integral in KAK coordinates, parametrized by
 the singular-value ratio u >= 1 with radial density (u - 1/u)/u du and both
-components weighted equally, is computed by adaptive quadrature.  Its
-overall normalization (the archimedean Haar scale) is a calibration
-constant, never asserted a priori.
+components weighted equally, is 2 int_0^1 (1 - v^2) v^{s-2} dv = 4/(s^2 - 1)
+in closed form (v = 1/u).  Its overall normalization (the archimedean Haar
+scale) is a calibration constant, never asserted a priori.
 
 The Tauberian side goes the other way: given an empirical grid (T, N(T)),
 fit N / (T^a (log T)^(b-1)) against c (1 + d / log T) and, in diagnostic
@@ -33,7 +33,6 @@ from typing import Sequence
 
 import mpmath as mp
 import numpy as np
-from scipy.integrate import quad
 
 from .heights import MeasureConvention
 
@@ -195,36 +194,20 @@ def model_cell_probabilities(p: int, kmax: int) -> tuple[dict[int, Fraction], Fr
 # the archimedean factor
 
 
-def archimedean_factor(
-    s: float,
-    convention: MeasureConvention | None = None,
-    rel_tol: float = 1e-8,
-) -> float:
+def archimedean_factor(s: float, convention: MeasureConvention | None = None) -> float:
     """scale * 2 * integral over u >= 1 of u^{-s} (u - 1/u)/u du.
 
     u is the singular-value ratio of the Cartan representative (also its
     adjoint height); the factor 2 counts both components of PGL_2(R).
-    Diverges for s <= 1.
+    v = 1/u turns the integral into int_0^1 (1 - v^2) v^{s-2} dv =
+    2/(s^2 - 1), so the factor is scale * 4/((s - 1)(s + 1)).  Diverges for
+    s <= 1.
     """
     if convention is None:
         convention = MeasureConvention()
     if s <= 1:
         raise ZetaError("archimedean integral diverges for s <= 1")
-    # v = 1/u turns the integral into int_0^1 (1 - v^2) v^{s-2} dv; the
-    # endpoint weight v^{s-2} (integrable for s > 1) goes to the algebraic-
-    # weight rule, which stays accurate arbitrarily close to the pole
-    val, err = quad(
-        lambda v: 1.0 - v * v,
-        0.0,
-        1.0,
-        weight="alg",
-        wvar=(s - 2.0, 0.0),
-        epsrel=rel_tol,
-        epsabs=0.0,
-    )
-    if not math.isfinite(val) or (val > 0 and err / val > 10 * rel_tol):
-        raise ZetaError("archimedean quadrature did not converge")
-    return convention.archimedean_scale * 2.0 * val
+    return convention.archimedean_scale * 4.0 / ((s - 1.0) * (s + 1.0))
 
 
 # --------------------------------------------------------------------------

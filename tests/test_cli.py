@@ -1,5 +1,9 @@
 import json
 import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -353,3 +357,261 @@ def test_main_config_file(tmp_path, capsys):
     assert code == 0
     obj = json.loads(capsys.readouterr().out.strip())
     assert obj["payload"]["a"] == "3/1"
+
+
+# --------------------------------------------------------------------------
+# the results-cache index
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _python(code: str, *argv: str, **kw):
+    """Start a fresh interpreter running ``code`` with the package on its path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.Popen([sys.executable, "-c", code, *argv], env=env, text=True, **kw)
+
+
+def _rec(digest, payload, version=__version__):
+    return ResultRecord(digest, payload, "2026-01-01T00:00:00", version)
+
+
+def test_cache_sees_appends_by_another_cache(tmp_path):
+    path = str(tmp_path / "c.jsonl")
+    reader = ResultCache(path, __version__)
+    assert reader.lookup("abc") is None
+    ResultCache(path, __version__).append(_rec("abc", {"v": 1}))
+    assert reader.lookup("abc").payload == {"v": 1}
+    ResultCache(path, __version__).append(_rec("abc", {"v": 2}))
+    assert reader.lookup("abc").payload == {"v": 2}  # last write wins
+
+
+def test_cache_sees_appends_by_another_process(tmp_path):
+    path = str(tmp_path / "c.jsonl")
+    cache = ResultCache(path, __version__)
+    cache.append(_rec("abc", {"v": 1}))
+    assert cache.lookup("xyz") is None
+    proc = _python(
+        "from heightcount import __version__\n"
+        "from heightcount.cli import ResultCache, ResultRecord\n"
+        f"ResultCache({path!r}, __version__).append("
+        "ResultRecord('xyz', {'v': 9}, '2026-01-01T00:00:00', __version__))\n"
+    )
+    assert proc.wait(timeout=60) == 0
+    assert cache.lookup("xyz").payload == {"v": 9}
+    assert cache.lookup("abc").payload == {"v": 1}
+
+
+def test_cache_reindexes_a_smaller_copy(tmp_path):
+    base, path = str(tmp_path / "base.jsonl"), str(tmp_path / "c.jsonl")
+    ResultCache(base, __version__).append(_rec("abc", {"v": 1}))
+    shutil.copyfile(base, path)
+    cache = ResultCache(path, __version__)
+    cache.append(_rec("xyz", {"v": 2}))
+    assert cache.lookup("xyz").payload == {"v": 2}
+    shutil.copyfile(base, path)
+    assert cache.lookup("xyz") is None
+    assert cache.lookup("abc").payload == {"v": 1}
+
+
+def test_cache_reindexes_a_same_size_rewrite(tmp_path):
+    path = tmp_path / "c.jsonl"
+    cache = ResultCache(str(path), __version__)
+    cache.append(_rec("abc", {"v": 1}))
+    assert cache.lookup("abc").payload == {"v": 1}
+    before = path.read_bytes()
+    after = before.replace(b'{"v": 1}', b'{"v": 7}')
+    assert len(after) == len(before) and after != before
+    with open(path, "r+b") as fh:  # in place: same inode, same size
+        fh.write(after)
+    assert cache.lookup("abc").payload == {"v": 7}
+
+
+def test_cache_serves_an_unterminated_last_line(tmp_path):
+    path = tmp_path / "c.jsonl"
+    cache = ResultCache(str(path), __version__)
+    cache.append(_rec("abc", {"v": 1}))
+    with open(path, "a") as fh:
+        fh.write(_rec("abc", {"v": 2}).line())  # no newline yet
+    assert cache.lookup("abc").payload == {"v": 2}
+    assert cache.skipped_lines == 0
+    with open(path, "a") as fh:
+        fh.write("\n")
+    cache.append(_rec("xyz", {"v": 3}))
+    assert cache.lookup("abc").payload == {"v": 2}
+    assert cache.lookup("xyz").payload == {"v": 3}
+
+
+def test_cache_unterminated_malformed_line_is_reread(tmp_path, capsys):
+    path = tmp_path / "c.jsonl"
+    cache = ResultCache(str(path), __version__)
+    cache.append(_rec("abc", {"v": 1}))
+    line = _rec("xyz", {"v": 2}).line()
+    with open(path, "a") as fh:
+        fh.write(line[:20])  # a writer caught mid-record
+    for _ in range(2):
+        assert cache.lookup("abc").payload == {"v": 1}
+        assert cache.skipped_lines == 1
+        assert "malformed cache line 2" in capsys.readouterr().err
+    with open(path, "a") as fh:
+        fh.write(line[20:] + "\n")  # the writer finishes: the line is whole
+    assert cache.lookup("xyz").payload == {"v": 2}
+    assert cache.skipped_lines == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_cache_warns_once_per_malformed_line(tmp_path, capsys):
+    path = tmp_path / "c.jsonl"
+    path.write_text("this is not json\n")
+    cache = ResultCache(str(path), __version__)
+    cache.append(_rec("abc", {"v": 1}))
+    for _ in range(3):
+        assert cache.lookup("abc").payload == {"v": 1}
+        assert cache.skipped_lines == 1
+    assert capsys.readouterr().err.count("malformed cache line 1") == 1
+    assert ResultCache(str(path), __version__).lookup("abc") is not None
+    assert capsys.readouterr().err == ""
+
+
+def test_cache_version_policy_prefers_last_current_record(tmp_path):
+    path = str(tmp_path / "c.jsonl")
+    cache = ResultCache(path, __version__)
+    cache.append(_rec("abc", {"v": 1}))
+    cache.append(_rec("abc", {"v": 2}, version="0.0.0-old"))
+    assert cache.lookup("abc").payload == {"v": 1}
+    stale_ok = ResultCache(path, __version__, allow_stale=True)
+    assert stale_ok.lookup("abc").payload == {"v": 2}
+
+
+def test_cache_hit_payload_is_a_copy(tmp_path):
+    path = str(tmp_path / "c.jsonl")
+    cache = ResultCache(path, __version__)
+    cache.append(_rec("abc", {"v": [1, 2]}))
+    cache.lookup("abc").payload["v"].append(3)
+    assert cache.lookup("abc").payload == {"v": [1, 2]}
+
+
+def test_concurrent_appends_keep_lines_whole(tmp_path):
+    path = str(tmp_path / "c.jsonl")
+    go = tmp_path / "go"
+    n, size = 20, 100 * 1024  # records well over a 64 KiB pipe or buffer
+    code = (
+        "import os, sys, time\n"
+        "from heightcount import __version__\n"
+        "from heightcount.cli import ResultCache, ResultRecord\n"
+        f"cache = ResultCache({path!r}, __version__)\n"
+        "tag = sys.argv[1]\n"
+        "print('ready', flush=True)\n"
+        f"while not os.path.exists({str(go)!r}):\n"
+        "    time.sleep(0.001)\n"
+        f"for i in range({n}):\n"
+        f"    cache.append(ResultRecord(f'{{tag}}{{i}}', {{'fill': tag * {size}}}, '', __version__))\n"
+    )
+    procs = [_python(code, tag, stdout=subprocess.PIPE) for tag in "ab"]
+    for proc in procs:
+        assert proc.stdout.readline().strip() == "ready"
+    go.touch()
+    assert [proc.wait(timeout=120) for proc in procs] == [0, 0]
+    for proc in procs:
+        proc.stdout.close()
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    assert len(lines) == 2 * n
+    digests = {json.loads(line)["digest"] for line in lines}
+    assert digests == {f"{tag}{i}" for tag in "ab" for i in range(n)}
+    cache = ResultCache(path, __version__)
+    assert cache.lookup("b7").payload == {"fill": "b" * size}
+    assert cache.skipped_lines == 0
+
+
+# --------------------------------------------------------------------------
+# entry point: parser reuse, big integers, import footprint
+
+
+def test_parser_is_built_once_and_reused(tmp_path):
+    from heightcount.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    assert main(["count"]) == 2
+    assert main(["--threads", "x", "invariants"]) == 2
+    assert main(["--cache", str(tmp_path / "c.jsonl"), "invariants", "--type", "A2"]) == 0
+    assert main(["count"]) == 2
+
+
+def test_main_mixing_probe_singular_exit_2(tmp_path):
+    # diag(2^40, 1) is numerically singular in floating point
+    argv = ["--cache", str(tmp_path / "c.jsonl"), "mixing-probe", "--max-exponent", "40"]
+    assert main(argv) == 2
+
+
+def test_main_projective_counts_past_4300_digits(tmp_path, capsys):
+    from heightcount.cli import _unlimited_int_digits
+
+    csv_path = tmp_path / "spectrum.csv"
+    argv = ["--cache", str(tmp_path / "c.jsonl"), "--json", "--csv", str(csv_path),
+            "count", "--target", "projective:5000", "--grid", "10"]
+    assert main(argv) == 0
+    cold, cold_csv = capsys.readouterr().out, csv_path.read_bytes()
+    with _unlimited_int_digits():
+        total = str(json.loads(cold)["payload"]["total"])
+    assert len(total) > 4300
+    csv_path.unlink()
+    assert main(argv) == 0  # a cache hit
+    assert capsys.readouterr().out == cold
+    assert csv_path.read_bytes() == cold_csv
+    lines = (tmp_path / "c.jsonl").read_text().splitlines()
+    assert len(lines) == 1
+    # the table output prints the count in full too
+    assert main(argv[:2] + argv[5:]) == 0
+    assert f"total: {total}" in capsys.readouterr().out
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit before 3.11"
+)
+def test_int_digit_lift_nests_across_threads():
+    import threading
+
+    from heightcount.cli import _unlimited_int_digits
+
+    old = sys.get_int_max_str_digits()
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    seen = []
+
+    def a():
+        with _unlimited_int_digits():
+            a_in.set()
+            b_in.wait(10)
+        a_out.set()
+
+    def b():
+        a_in.wait(10)
+        with _unlimited_int_digits():
+            b_in.set()
+            a_out.wait(10)
+            seen.append(sys.get_int_max_str_digits())  # A left, B still in
+
+    threads = [threading.Thread(target=f) for f in (a, b)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(10)
+    assert seen == [0]
+    assert sys.get_int_max_str_digits() == old
+    with _unlimited_int_digits():
+        with _unlimited_int_digits():
+            assert sys.get_int_max_str_digits() == 0
+        assert sys.get_int_max_str_digits() == 0
+    assert sys.get_int_max_str_digits() == old
+
+
+def test_import_loads_no_scipy():
+    proc = _python(
+        "import sys\n"
+        "import heightcount.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n",
+        stdout=subprocess.PIPE,
+    )
+    out, _ = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert out.strip() == "[]"

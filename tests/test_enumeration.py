@@ -399,6 +399,13 @@ def test_convolution_per_fiber_structure():
     assert convolve_counts(s, s, 1, 2, T) == total
 
 
+def test_convolution_exact_past_int64():
+    # P^20 counts pass 2^63 below height 10: the prefix sums stay exact
+    s = count_projective(20, 10)
+    assert max(s.counts.values()) > 2**63
+    assert convolve_counts(s, s, 1, 1, 9) == brute_convolve(s, s, 1, 1, 9)
+
+
 def test_convolution_rejects_incomplete_spectra():
     s_small = count_projective(1, 4)
     s_big = count_projective(1, 60)

@@ -2,8 +2,10 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 import scipy.special as sp
+from scipy.integrate import quad
 
 from heightcount.heights import CartanCoordinates, Place, PrimitiveMatrix
 from heightcount.mixing import (
@@ -86,6 +88,42 @@ def test_xi_real_against_direct_high_precision_quadrature():
             ) ** mp.mpf("-0.5")
             ref = float((2 / mp.pi) * mp.quad(f, [0, mp.pi / 2]))
         assert xi_real(t) == pytest.approx(ref, rel=1e-10)
+
+
+def _xi_real_pieces(t: float, rel_tol: float = 1e-13) -> float:
+    """Quadrature oracle: the K-average integral, rewritten piecewise so each
+    piece is smooth.
+
+    With eps = e^{-4t},
+        I(t) = int_0^{pi/2} (cos^2 + eps sin^2)^{-1/2}
+             = int_0^{Y} dy / sqrt(1 + eps sinh^2 y)          (u = tan = sinh y)
+             + int_0^1 dx / sqrt((1 + eps x^2)(1 + x^2))      (w = 1/u = x sqrt(eps))
+    where Y = asinh(eps^{-1/2}); then Xi(t) = (2/pi) e^{-t} I(t).
+    """
+    eps = math.exp(-4.0 * t)
+    Y = math.asinh(1.0 / math.sqrt(eps))
+    i1, e1 = quad(
+        lambda y: 1.0 / math.sqrt(1.0 + eps * math.sinh(y) ** 2),
+        0.0, Y, epsrel=rel_tol, epsabs=0.0, limit=200,
+    )
+    i2, e2 = quad(
+        lambda x: 1.0 / math.sqrt((1.0 + eps * x * x) * (1.0 + x * x)),
+        0.0, 1.0, epsrel=rel_tol, epsabs=0.0, limit=200,
+    )
+    assert (e1 + e2) <= 10 * rel_tol * (i1 + i2)
+    return (2.0 / math.pi) * math.exp(-t) * (i1 + i2)
+
+
+def test_xi_real_agm_matches_quadrature_oracle():
+    # Gauss: the K-average is pi / (2 AGM(e^t, e^-t)); checked against the
+    # smooth piecewise quadrature over the whole range the verifier meets
+    for t in np.geomspace(1e-7, 40.0, 120):
+        assert xi_real(t) == pytest.approx(_xi_real_pieces(t), rel=1e-12)
+
+
+def test_xi_real_rejects_underflowing_argument():
+    with pytest.raises(MixingError):
+        xi_real(400.0)
 
 
 def test_xi_real_strictly_decreasing():

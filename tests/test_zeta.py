@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from heightcount.heights import MeasureConvention
 from heightcount.zeta import (
@@ -127,6 +128,18 @@ def test_archimedean_matches_closed_form():
         assert archimedean_factor(s) == pytest.approx(4.0 / (s * s - 1), rel=1e-8)
     conv = MeasureConvention(archimedean_scale=2.5)
     assert archimedean_factor(2.0, conv) == pytest.approx(2.5 * 4.0 / 3.0, rel=1e-8)
+
+
+def test_archimedean_matches_quadrature_oracle():
+    # int_0^1 (1 - v^2) v^{s-2} dv with the endpoint weight v^{s-2} handed
+    # to the algebraic-weight rule, which stays accurate close to the pole
+    for s in 2.0 + np.geomspace(1e-6, 1.0, 60):
+        val, err = quad(
+            lambda v: 1.0 - v * v, 0.0, 1.0, weight="alg", wvar=(s - 2.0, 0.0),
+            epsrel=1e-13, epsabs=0.0,
+        )
+        assert err <= 1e-12 * val
+        assert archimedean_factor(s) == pytest.approx(2.0 * val, rel=1e-12)
 
 
 def test_archimedean_monotone_and_vanishing():
