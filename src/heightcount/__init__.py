@@ -41,7 +41,6 @@ from .enumeration import (
     scan_pgl2_adjoint,
 )
 from .zeta import (
-    EulerProductEstimate,
     FitResult,
     LocalFactor,
     archimedean_factor,

@@ -50,6 +50,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .heights import _is_prime
 from .zeta import primes_below
 
 __all__ = [
@@ -403,8 +404,9 @@ def scan_pgl2_adjoint(
     if T < 1:
         raise EnumerationError("T must be >= 1")
     primes = tuple(sorted(set(int(p) for p in primes_tracked)))
-    if primes and primes[0] < 2:
-        raise EnumerationError(f"tracked primes must be >= 2, got {primes[0]}")
+    composite = [p for p in primes if not _is_prime(p)]
+    if composite:
+        raise EnumerationError(f"tracked primes must be prime, got {composite[0]}")
     B = math.isqrt(T) if radius is None else int(radius)
     if radius is not None and B < math.isqrt(T):
         raise EnumerationError(

@@ -49,6 +49,7 @@ from .heights import (
     CartanCoordinates,
     Place,
     PrimitiveMatrix,
+    _is_prime,
     adjoint_rep,
     cartan_radial_real,
     smith_exponents,
@@ -249,6 +250,8 @@ def lp_probe(
     Divergent trend expected at e = 2 (the measure grows like the kernel
     decays), geometric convergence at e = 3.
     """
+    if not _is_prime(p):
+        raise MixingError(f"{p} is not prime")
     out: dict[float, list[float]] = {}
     for e in exponents:
         acc = 0.0

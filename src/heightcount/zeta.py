@@ -7,11 +7,12 @@ volume 1 (k = 0) or q^{k-1}(q+1) (k >= 1) and local height q^k, so
     Z_q(s) = 1 + (1 + q^{-1}) sum_{k>=1} q^k q^{-ks}
            = (1 + t) / (1 - q t),   t = q^{-s},
 
-an exact rational function.  The full Euler product over primes equals
-zeta(s-1) zeta(s)/zeta(2s), with a simple pole at s = 2 coming entirely
-from the zeta(s-1) part; numerically we regularize each factor by
-(1 - p^{1-s}) -- which turns it into exactly 1 + p^{-s} -- and restore the
-pole through the zeta(s-1) comparison factor.
+an exact rational function; it serves `zeta --at` and the Cartan-cell
+model.  The full Euler product over primes equals zeta(s-1) zeta(s)/zeta(2s),
+with a simple pole at s = 2 coming entirely from the zeta(s-1) part.
+Regularizing each factor by (1 - p^{1-s}) turns it into exactly 1 + p^{-s},
+so the residue multiplies those closed forms directly and restores the pole
+through the zeta(s-1) comparison factor.
 
 At the real place the group integral in KAK coordinates, parametrized by
 the singular-value ratio u >= 1 with radial density (u - 1/u)/u du and both
@@ -34,11 +35,10 @@ from typing import Sequence
 import mpmath as mp
 import numpy as np
 
-from .heights import MeasureConvention
+from .heights import MeasureConvention, _is_prime
 
 __all__ = [
     "LocalFactor",
-    "EulerProductEstimate",
     "ResidueEstimate",
     "FitResult",
     "ZetaError",
@@ -47,7 +47,6 @@ __all__ = [
     "cell_volume_oracle",
     "model_cell_probabilities",
     "archimedean_factor",
-    "euler_product_estimate",
     "residue_estimate",
     "tauberian_fit",
     "calibrate_archimedean_scale",
@@ -97,11 +96,6 @@ class LocalFactor:
     denominator: tuple[int, ...]
     cell_volumes: tuple[Fraction, ...]
 
-    def cell_volume(self, k: int) -> Fraction:
-        if k < len(self.cell_volumes):
-            return self.cell_volumes[k]
-        return cell_volume(self.q, k)
-
     def _poly(self, coeffs, t):
         acc = 0 * t
         for c in reversed(coeffs):
@@ -129,21 +123,11 @@ class LocalFactor:
             raise ZetaError("evaluation outside the convergence region")
         return self._poly(self.numerator, t) / den
 
-    def series_partial(self, s, K: int):
-        """Partial sum over cells k <= K of vol_k q^{-ks} (mpmath float)."""
-        s = mp.mpf(s)
-        q = self.q
-        total = mp.mpf(0)
-        for k in range(K + 1):
-            vol = self.cell_volume(k)
-            total += mp.mpf(vol.numerator) / vol.denominator * mp.power(q, -k * s)
-        return total
-
 
 def local_factor_pgl2_adjoint(p: int, kmax: int = 12) -> LocalFactor:
     """The exact local factor (1 + t)/(1 - q t) at q = p, with cell volumes."""
-    if p < 2:
-        raise ZetaError("p must be a prime")
+    if not _is_prime(p):
+        raise ZetaError(f"{p} is not prime")
     return LocalFactor(
         q=p,
         numerator=(1, 1),
@@ -214,37 +198,16 @@ def archimedean_factor(s: float, convention: MeasureConvention | None = None) ->
 # Euler products and residue extraction
 
 
-@dataclass(frozen=True)
-class EulerProductEstimate:
-    """Regularized finite part of the height zeta function at one s."""
-
-    cutoff: int
-    s: float
-    finite_part: mp.mpf  # prod_{p < cutoff} Z_p(s) (1 - p^{1-s})
-    archimedean_part: float
-    regularizer: str = "zeta(s-1) restores the pole removed by (1 - p^{1-s})"
-
-    def value(self) -> mp.mpf:
-        """zeta(s-1) * finite_part * archimedean_part."""
-        return mp.zeta(mp.mpf(self.s) - 1) * self.finite_part * mp.mpf(self.archimedean_part)
-
-
-def euler_product_estimate(
-    P: int,
-    s: float,
-    convention: MeasureConvention | None = None,
-    dps: int = 50,
-) -> EulerProductEstimate:
-    if s <= 2:
-        raise ZetaError("Euler product evaluation needs s > 2")
-    with mp.workdps(dps):
-        finite = mp.mpf(1)
+def _finite_parts(P: int, ss: Sequence[float]) -> list[mp.mpf]:
+    """prod_{p<P} (1 + p^{-s}) for each s in ss, at the working precision:
+    the Euler product regularized by (1 - p^{1-s}).  Primes and their logs
+    are computed once for all s."""
+    neg_logs = [-mp.log(p) for p in primes_below(P)]
+    out = []
+    for s in ss:
         sm = mp.mpf(s)
-        for p in primes_below(P):
-            reg = 1 - mp.power(p, 1 - sm)
-            finite *= local_factor_pgl2_adjoint(p).evaluate(sm) * reg
-        arch = archimedean_factor(s, convention)
-        return EulerProductEstimate(cutoff=P, s=float(s), finite_part=finite, archimedean_part=arch)
+        out.append(mp.fprod(1 + mp.exp(sm * nl) for nl in neg_logs))
+    return out
 
 
 def _neville_at_zero(hs: Sequence[mp.mpf], vs: Sequence[mp.mpf]) -> list[mp.mpf]:
@@ -279,26 +242,27 @@ def residue_estimate(
 ) -> ResidueEstimate:
     """Residue at s = 2 of the (regularized) global height zeta function.
 
-    Evaluates (s-2) zeta(s-1) prod_{p<P}[Z_p(s)(1 - p^{1-s})] Z_oo(s) on a
+    Evaluates (s-2) zeta(s-1) prod_{p<P}(1 + p^{-s}) Z_oo(s), where
+    1 + p^{-s} = Z_p(s)(1 - p^{1-s}) is the regularized local factor, on a
     strictly decreasing sample grid s -> 2+ and Richardson-extrapolates in
-    (s - 2).  The truncation beyond P is controlled by
-    |Z_p(s)(1-p^{1-s}) - 1| = p^{-s} <= p^{-2}; its aggregate effect is
-    reported as tail_bound.  A non-convergent extrapolation is flagged,
-    never silently returned.
+    (s - 2).  The truncation beyond P is controlled by p^{-s} <= p^{-2}; its
+    aggregate effect is reported as tail_bound.  A non-convergent
+    extrapolation is flagged, never silently returned.  P must be >= 2.
     """
     ss = [float(x) for x in samples]
     if len(ss) < 3:
         raise ZetaError("need at least 3 sample points")
     if any(x <= 2 for x in ss) or any(b >= a for a, b in zip(ss, ss[1:])):
         raise ZetaError("samples must strictly decrease toward 2")
+    if P < 2:
+        raise ZetaError(f"residue cutoff must be >= 2, got {P}")
     with mp.workdps(dps):
         hs = [mp.mpf(s) - 2 for s in ss]
         vs = []
-        for s in ss:
-            est = euler_product_estimate(P, s, convention, dps=dps)
-            v = (mp.mpf(s) - 2) * mp.zeta(mp.mpf(s) - 1) * est.finite_part
+        for s, finite in zip(ss, _finite_parts(P, ss)):
+            v = (mp.mpf(s) - 2) * mp.zeta(mp.mpf(s) - 1) * finite
             if include_archimedean:
-                v *= mp.mpf(est.archimedean_part)
+                v *= mp.mpf(archimedean_factor(s, convention))
             vs.append(v)
         diag = _neville_at_zero(hs, vs)
         best = diag[-1]

@@ -544,6 +544,37 @@ def test_main_mixing_probe_singular_exit_2(tmp_path):
     assert main(argv) == 2
 
 
+def _rejected_without_record(tmp_path, argv):
+    """True when ``argv`` exits 2 and leaves a seeded cache byte-identical."""
+    cache = tmp_path / "c.jsonl"
+    assert main(["--cache", str(cache), "invariants", "--type", "A2"]) == 0
+    before = cache.read_bytes()
+    code = main(["--cache", str(cache)] + argv)
+    return code == 2 and cache.read_bytes() == before
+
+
+@pytest.mark.parametrize("cutoff", ["1", "0", "-5"])
+def test_main_residue_cutoff_below_2_exit_2(tmp_path, cutoff):
+    assert _rejected_without_record(tmp_path, ["zeta", "--residue", "--cutoff", cutoff])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeta", "--primes", "4,6"],
+        ["zeta", "--primes", "2,9"],
+        ["count", "--target", "pgl2-adjoint", "--grid", "16", "--primes", "4"],
+        ["count", "--target", "product-pgl2:1,1", "--grid", "16", "--primes", "2,6"],
+        ["equidist", "--grid", "16", "--primes", "4"],
+        ["mixing-probe", "--prime", "4", "--max-exponent", "5"],
+        ["mixing-probe", "--prime", "1", "--max-exponent", "5"],
+    ],
+    ids=["zeta", "zeta-mixed", "count", "count-product", "equidist", "mixing", "mixing-1"],
+)
+def test_main_composite_prime_exit_2(tmp_path, argv):
+    assert _rejected_without_record(tmp_path, argv)
+
+
 def test_main_projective_counts_past_4300_digits(tmp_path, capsys):
     from heightcount.cli import _unlimited_int_digits
 

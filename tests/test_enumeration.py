@@ -334,8 +334,9 @@ def test_pgl2_int32_range_guard_fails_fast():
 
 
 def test_pgl2_rejects_tracked_primes_below_2():
-    # p = 1 would never leave the p-power loops
-    for bad in ((1,), (0, 2)):
+    # p = 1 would never leave the p-power loops; v_4(det) of a composite
+    # is no Cartan level either
+    for bad in ((1,), (0, 2), (4,), (2, 9), (3, 2**32 + 1)):
         with pytest.raises(EnumerationError, match="primes"):
             scan_pgl2_adjoint(16, bad)
 

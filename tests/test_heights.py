@@ -13,6 +13,7 @@ from heightcount.heights import (
     MeasureConvention,
     Place,
     PrimitiveMatrix,
+    _is_prime,
     adjoint_action_matrix,
     adjoint_rep,
     cartan_radial_real,
@@ -29,6 +30,19 @@ def test_place_validation():
     assert not Place.infinity().is_finite
     with pytest.raises(HeightError):
         Place.prime(6)
+
+
+def test_is_prime_matches_trial_division_and_handles_huge_inputs():
+    def by_trial_division(n):
+        return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+    small = list(range(-3, 3000)) + [2**32 - 5, 2**32 - 1, 2**32 + 1, 2**32 + 15]
+    assert all(_is_prime(n) == by_trial_division(n) for n in small)
+    # Miller-Rabin above 2^32: Mersenne primes, a strong pseudoprime to the
+    # prime bases up to 23, and a product of two large primes
+    assert _is_prime(2**61 - 1) and _is_prime(2**89 - 1)
+    assert not _is_prime(3825123056546413051)
+    assert not _is_prime((2**31 - 1) * (2**61 - 1))
 
 
 def test_primitive_vector_examples():

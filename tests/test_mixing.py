@@ -253,6 +253,12 @@ def test_lp_probe_trends():
     assert deltas[-1] < deltas[0]  # converging, if slowly
 
 
+def test_lp_probe_rejects_non_primes():
+    for bad in (1, 4, 9):
+        with pytest.raises(MixingError, match="not prime"):
+            lp_probe(bad)
+
+
 def test_xi_evaluation_validation():
     with pytest.raises(MixingError):
         XiEvaluation(

@@ -9,11 +9,12 @@ from scipy.integrate import quad
 from heightcount.heights import MeasureConvention
 from heightcount.zeta import (
     ZetaError,
+    _finite_parts,
+    _neville_at_zero,
     archimedean_factor,
     calibrate_archimedean_scale,
     cell_volume,
     cell_volume_oracle,
-    euler_product_estimate,
     local_factor_pgl2_adjoint,
     model_cell_probabilities,
     primes_below,
@@ -24,6 +25,17 @@ from heightcount.zeta import (
 
 # --------------------------------------------------------------------------
 # local factors
+
+
+def series_partial(lf, s, K: int):
+    """Partial sum over cells k <= K of vol_k q^{-ks} (mpmath float): the
+    series form of a local factor, an oracle for its rational form."""
+    s = mp.mpf(s)
+    total = mp.mpf(0)
+    for k in range(K + 1):
+        vol = cell_volume(lf.q, k)
+        total += mp.mpf(vol.numerator) / vol.denominator * mp.power(lf.q, -k * s)
+    return total
 
 
 def test_local_factor_exact_values():
@@ -50,9 +62,9 @@ def test_local_factor_diverges_at_one():
         lf.evaluate_exact(1)
     # (s-1)-damped partial sums stay bounded approaching 1, blow up at 1
     ss = [1.5, 1.25, 1.1, 1.05]
-    damped = [(s - 1) * float(lf.series_partial(s, 2000)) for s in ss]
+    damped = [(s - 1) * float(series_partial(lf, s, 2000)) for s in ss]
     assert max(damped) < 10
-    assert float(lf.series_partial(1.0, 500)) > 100
+    assert float(series_partial(lf, 1.0, 500)) > 100
 
 
 def test_series_agrees_with_rational_form():
@@ -63,9 +75,17 @@ def test_series_agrees_with_rational_form():
             lf = local_factor_pgl2_adjoint(p)
             for s in (2.1, 2.5, 3.0):
                 for K in (10, 25, 40):
-                    err = abs(lf.series_partial(s, K) - lf.evaluate(s))
+                    err = abs(series_partial(lf, s, K) - lf.evaluate(s))
                     floor = mp.mpf(10) ** (-45)  # working-precision noise
                     assert err < max(1.5 * mp.mpf(p) ** (-K * (mp.mpf(s) - 1)), floor)
+
+
+def test_local_factor_rejects_non_primes():
+    for bad in (0, 1, 4, 6, 9, 91):
+        with pytest.raises(ZetaError, match="not prime"):
+            local_factor_pgl2_adjoint(bad)
+        with pytest.raises(ZetaError, match="not prime"):
+            model_cell_probabilities(bad, 3)
 
 
 def test_euler_regularity_identity():
@@ -167,9 +187,41 @@ def test_archimedean_divergence_error():
 
 
 def test_finite_part_converges_in_cutoff():
-    vals = [float(euler_product_estimate(P, 2.5).finite_part) for P in (100, 1000, 10000)]
+    with mp.workdps(50):
+        vals = [float(_finite_parts(P, [2.5])[0]) for P in (100, 1000, 10000)]
     assert abs(vals[2] - vals[1]) < abs(vals[1] - vals[0])
     assert abs(vals[2] - vals[1]) < 1e-4
+
+
+def old_path_residue(P, samples, include_archimedean=True):
+    """(value, error) of the residue with each regularized local factor taken
+    as LocalFactor.evaluate(s) (1 - p^{1-s}) at 50 digits: the rational-form
+    Euler product that 1 + p^{-s} replaces."""
+    with mp.workdps(50):
+        hs, vs = [], []
+        for s in samples:
+            sm = mp.mpf(s)
+            finite = mp.mpf(1)
+            for p in primes_below(P):
+                finite *= local_factor_pgl2_adjoint(p).evaluate(sm) * (1 - mp.power(p, 1 - sm))
+            v = (sm - 2) * mp.zeta(sm - 1) * finite
+            if include_archimedean:
+                v *= mp.mpf(archimedean_factor(s))
+            hs.append(sm - 2)
+            vs.append(v)
+        diag = _neville_at_zero(hs, vs)
+        scale = abs(diag[-1])
+        return float(diag[-1]), float(abs(diag[-1] - diag[-2])) + float(scale / (P - 1))
+
+
+@pytest.mark.parametrize("include_archimedean", [True, False])
+@pytest.mark.parametrize("P", [2, 3, 200, 2000])
+def test_residue_matches_rational_form_oracle(P, include_archimedean):
+    grid = [2 + 0.4 / 2**j for j in range(6)]
+    value, error = old_path_residue(P, grid, include_archimedean)
+    est = residue_estimate(P, grid, include_archimedean=include_archimedean)
+    assert est.value == pytest.approx(value, rel=1e-12, abs=0)
+    assert est.error == pytest.approx(error, rel=1e-12, abs=0)
 
 
 def test_residue_of_zeta_surrogate_is_one():
@@ -208,6 +260,9 @@ def test_residue_input_validation():
         residue_estimate(100, [2.2, 2.1])  # too few
     with pytest.raises(ZetaError):
         residue_estimate(100, [2.2, 2.1, 2.0])  # touches the pole
+    for cutoff in (1, 0, -5):  # no prime product and no tail bound
+        with pytest.raises(ZetaError, match="cutoff"):
+            residue_estimate(cutoff, [2.3, 2.2, 2.1])
 
 
 # --------------------------------------------------------------------------
