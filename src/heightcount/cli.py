@@ -66,7 +66,7 @@ from .zeta import (
     tauberian_fit,
 )
 from .mixing import MixingError, verify_bounds
-from .heights import PrimitiveMatrix
+from .heights import PrimitiveMatrix, _is_prime
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -355,6 +355,11 @@ def payload_invariants(params: dict) -> dict:
 def payload_count(params: dict, T: int, scan_cache: dict, threads: int) -> dict:
     kind, extra = _parse_target(params["target"])
     primes = tuple(int(p) for p in params.get("primes", "").split(",") if p)
+    # checked for every target: projective counts ignore the primes, but the
+    # query records them
+    composite = [p for p in primes if not _is_prime(p)]
+    if composite:
+        raise ConfigError(f"tracked primes must be prime, got {composite[0]}")
     if kind == "projective":
         spectrum = _top_spectrum(scan_cache, params, threads).below(T)
         hists = {}

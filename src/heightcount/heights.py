@@ -35,6 +35,11 @@ from typing import Sequence
 
 import numpy as np
 
+# mpmath's primality test: a set lookup below 50, division by the odd primes
+# below 50, then Miller-Rabin (exact below 3.4e14, a strong probable-prime
+# test beyond), so a huge input cannot stall a caller.
+from mpmath.libmp import isprime as _is_prime
+
 __all__ = [
     "Place",
     "PrimitiveMatrix",
@@ -57,43 +62,6 @@ __all__ = [
 
 class HeightError(ValueError):
     pass
-
-
-def _is_prime(n: int) -> bool:
-    """Trial division below 2^32; above it, Miller-Rabin to the first twelve
-    prime bases, which is exact below 3.18e23 (a strong probable-prime test
-    beyond), so a huge input cannot stall a caller."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    if n >= 1 << 32:
-        return _miller_rabin(n)
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def _miller_rabin(n: int) -> bool:
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d, r = d // 2, r + 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -281,6 +281,8 @@ def verify_bounds(
     """
     if m < 1:
         raise MixingError("m must be a positive integer")
+    if not _is_prime(lp_prime):
+        raise MixingError(f"{lp_prime} is not prime")
     n_pts = 0
     violations = 0
     c_eps = 0.0

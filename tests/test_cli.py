@@ -565,11 +565,15 @@ def test_main_residue_cutoff_below_2_exit_2(tmp_path, cutoff):
         ["zeta", "--primes", "2,9"],
         ["count", "--target", "pgl2-adjoint", "--grid", "16", "--primes", "4"],
         ["count", "--target", "product-pgl2:1,1", "--grid", "16", "--primes", "2,6"],
+        ["count", "--target", "projective:3", "--grid", "16", "--primes", "4"],
         ["equidist", "--grid", "16", "--primes", "4"],
         ["mixing-probe", "--prime", "4", "--max-exponent", "5"],
         ["mixing-probe", "--prime", "1", "--max-exponent", "5"],
     ],
-    ids=["zeta", "zeta-mixed", "count", "count-product", "equidist", "mixing", "mixing-1"],
+    ids=[
+        "zeta", "zeta-mixed", "count", "count-product", "count-projective", "equidist",
+        "mixing", "mixing-1",
+    ],
 )
 def test_main_composite_prime_exit_2(tmp_path, argv):
     assert _rejected_without_record(tmp_path, argv)

@@ -38,7 +38,7 @@ def test_is_prime_matches_trial_division_and_handles_huge_inputs():
 
     small = list(range(-3, 3000)) + [2**32 - 5, 2**32 - 1, 2**32 + 1, 2**32 + 15]
     assert all(_is_prime(n) == by_trial_division(n) for n in small)
-    # Miller-Rabin above 2^32: Mersenne primes, a strong pseudoprime to the
+    # large inputs: Mersenne primes, a strong pseudoprime to the
     # prime bases up to 23, and a product of two large primes
     assert _is_prime(2**61 - 1) and _is_prime(2**89 - 1)
     assert not _is_prime(3825123056546413051)

@@ -259,6 +259,15 @@ def test_lp_probe_rejects_non_primes():
             lp_probe(bad)
 
 
+def test_verify_bounds_rejects_non_prime_before_sampling():
+    def sample():
+        raise AssertionError("the sample was read before the prime was checked")
+        yield
+
+    with pytest.raises(MixingError, match="not prime"):
+        verify_bounds(sample(), eps=0.1, m=4, lp_prime=4)
+
+
 def test_xi_evaluation_validation():
     with pytest.raises(MixingError):
         XiEvaluation(
