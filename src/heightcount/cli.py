@@ -670,6 +670,9 @@ def config_from_args(args) -> ExperimentConfig:
         val = getattr(args, key, None)
         if val not in (None, "", False):
             params[key] = str(val) if not isinstance(val, bool) else "1"
+    if args.subcommand == "zeta" and "residue" not in params:
+        # the cutoff shapes only the residue: keying on it would split one payload
+        params.pop("cutoff", None)
     grid = []
     if getattr(args, "grid", None):
         grid = [int(x) for x in args.grid.split(",")]

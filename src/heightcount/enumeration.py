@@ -20,24 +20,49 @@ PGL_2 scan also records, per tracked prime p, the joint distribution of
 adjoint image at p -- equivalently val_p(det g) for primitive g -- feeding
 the local equidistribution checks.
 
-The PGL_2 scan runs over the absolute entries (x, y, z, w) = (|a|, |b|,
-|c|, |d|) in [0, B]^4 and the sign eps of ad * bc, on which the height and
-|det| alone depend: with P = xw and Q = yz, the ad + bc entry has absolute
-value P + Q and |det| = |P - Q| when eps = +, and the other way round when
-eps = -.  A cell stands for its canonical-sign matrices: 4 under each eps
-when P, Q > 0, else 2^(nonzero entries - 1) under one.  The row swap and
-the column swap preserve height, |det| and primitivity as well, and
-between them they carry the first position of (x, y, z, w) to each of the
-four, so every orbit has a point whose first entry x is the largest.  The
-scan visits only those: the cube [0, x]^3 of (y, z, w) for each x, about
-B^4/4 cells where the signed entries halved by (b, c) -> (-b, -c) took
-(2B+1)^4/4.  Each orbit counts at its lexicographically largest point,
-weighted by its size.  Inside the cube (0 < y, z, w < x) every cell stands
-for 16 matrices under each eps; the cells on its surface are weighted one
-by one.  The work is cut into blocks of a bounded number of cells whatever
-T is, the blocks are shared among threads, and partial counts merge by
-integer addition, so any partition (any thread count) gives identical
-results.
+Both PGL_2 counts run over the absolute entries (x, y, z, w) = (|a|, |b|,
+|c|, |d|) and the sign eps of ad * bc, on which the height and |det| alone
+depend: with P = xw and Q = yz, the ad + bc entry has absolute value P + Q
+and |det| = |P - Q| when eps = +, and the other way round when eps = -.  A
+cell stands for its canonical-sign matrices: 4 under each eps when P, Q > 0,
+else 2^(nonzero entries - 1) under one.  The row swap and the column swap
+preserve height, |det| and primitivity as well, and between them they carry
+the first position of (x, y, z, w) to each of the four, so only cells whose
+first entry x is the largest are needed: the cube [0, x]^3 of (y, z, w) for
+each x.  There the height is max(C, 2zw) under eps = - and max(C, 2zw,
+xw + yz) under eps = +, with C = max(x^2, 2xy).
+
+Without tracked primes the spectrum comes from a sweep over the triples
+(x, y, z) that never visits w one by one:
+
+* Weights.  A cell with m entries equal to x stands for 4/m times its sign
+  patterns, since the swaps move each of those m positions to the front
+  once.  The sweep adds three times these weights in int64 and divides by 3
+  at the end, which must come out exact.
+* Pieces.  For fixed (x, y, z) the height is a convex piecewise-linear
+  function of w in [1, x) with slopes 0, x and 2z: a constant piece at C, a
+  piece xw + yz (eps = + only) and a piece 2zw.  The constant pieces are one
+  count per (x, y) row; the slope-x pieces are arithmetic progressions of
+  stride x, added through one difference array per x; the slope-2z pieces
+  are counted per (x, z, w) in closed form, as the number of rows y whose
+  piece holds w.  Under eps = +, det = 0 only at w = yz/x, a point of the
+  constant piece, which is left out; w = 0 and w = x are single cells.
+* Content.  Matrices of every content are counted, and since
+  Ad(dg) = d^2 Ad(g), the primitive ones follow by Moebius inversion:
+  prim[h] = sum over d^2 | h of mu(d) all[h / d^2].
+
+That is under B^3/3 triples for B = isqrt(T - 1) and O(T^(3/2)) work, with
+every array sized by B and T whatever the radius.
+
+Cartan rows need |det| matrix by matrix, so with tracked primes the cell
+scan visits every cell of the cubes, about B^4/4 of them where the signed
+entries halved by (b, c) -> (-b, -c) took (2B+1)^4/4.  Each orbit counts at
+its lexicographically largest point, weighted by its size.  Inside the cube
+(0 < y, z, w < x) every cell stands for 16 matrices under each eps; the
+cells on its surface are weighted one by one.  The work is cut into blocks
+of a bounded number of cells whatever T is, the blocks are shared among
+threads, and partial counts merge by integer addition, so any partition
+(any thread count) gives identical results.
 """
 
 from __future__ import annotations
@@ -66,7 +91,8 @@ __all__ = [
     "cartan_statistics",
 ]
 
-# work allowed in one PGL_2 scan: the cells it visits
+# work allowed in one PGL_2 scan: the cells it visits, or without tracked
+# primes the (x, y, z) triples of the sweep (2^20 needs about 2.8e8)
 DEFAULT_WORK_LIMIT = 3 * 10**10
 # largest (n+1) T for P^n: the spectrum holds T integers of about
 # (n+1) log2(2T) bits each
@@ -154,6 +180,15 @@ def cartan_statistics(hist: CartanHistogram) -> dict[int, Fraction]:
 # P^n(Q)
 
 
+def _mobius(n: int) -> np.ndarray:
+    """mu(d) for 1 <= d < n as int8 (entry 0 is unused)."""
+    mu = np.ones(n, dtype=np.int8)
+    for p in primes_below(n):
+        mu[::p] *= -1
+        mu[:: p * p] = 0
+    return mu
+
+
 def count_projective(n: int, T: int) -> HeightSpectrum:
     """Exact height spectrum of P^n(Q) points with height < T.
 
@@ -175,10 +210,7 @@ def count_projective(n: int, T: int) -> HeightSpectrum:
         )
     m = np.arange(T, dtype=object)
     f = ((2 * m + 1) ** (n + 1) - (2 * m - 1) ** (n + 1)) // 2
-    mu = np.ones(T, dtype=np.int8)
-    for p in primes_below(T):
-        mu[::p] *= -1
-        mu[:: p * p] = 0
+    mu = _mobius(T)
     out = np.zeros(T, dtype=object)
     for d in np.flatnonzero(mu[1:]) + 1:
         out[d::d] += int(mu[d]) * f[1 : (T - 1) // d + 1]
@@ -388,6 +420,178 @@ def _scan_tasks(B: int) -> list[tuple[int, tuple]]:
     return tasks
 
 
+# --------------------------------------------------------------------------
+# the sweep: the spectrum without tracked primes
+
+# (x, y, z) triples per numpy block of the sweep: temporaries stay in L2
+_SWEEP_BLOCK = 1 << 14
+# the sweep's values (heights up to 2T, layout offsets) are int32
+_SWEEP_MAX_T = 2**30
+
+
+def _expand(length: np.ndarray, *per_row: np.ndarray) -> list[np.ndarray]:
+    """Rows of cells: each row's values repeated over its ``length`` cells,
+    then each cell's index within its row."""
+    rowid = np.repeat(np.arange(len(length)), length)
+    k = np.arange(rowid.size) - np.repeat(np.cumsum(length) - length, length)
+    return [v[rowid] for v in per_row] + [k.astype(np.int32)]
+
+
+def _plateau(X, Y, Z):
+    """For cells (x, y, z): the height C = max(x^2, 2xy) of the constant
+    pieces, Q = yz = qx + r, and the w in [1, x) at height C: the first cm
+    for eps = - (2zw <= C), the first cp for eps = + (also xw + Q <= C),
+    of which det0 (w = Q/x) has det = 0."""
+    M = np.maximum(X, 2 * Y)
+    C = X * M
+    Q = Y * Z
+    q, r = np.divmod(Q, X)
+    cm = np.minimum(X - 1, C // np.maximum(2 * Z, 1))
+    cp = np.minimum(cm, M - q - (r > 0))
+    det0 = (r == 0) & (q > 0) & (q < X)
+    return C, Q, q, r, cm, cp, det0
+
+
+def _sweep_group(T: int, gx: np.ndarray, gy: np.ndarray, all3: np.ndarray) -> None:
+    """Add three times the counts of the cubes x = gx[0], ..., gx[-1]
+    (consecutive) to ``all3``; the rows y = 0..gy[i] of x = gx[i] are those
+    with C < T.  A cell (x, y, z) stands for w = 0..x."""
+    xa, xb = int(gx[0]), int(gx[-1])
+    base = xa * xa
+    L = min(T, 2 * xb * xb + 1) - base  # heights here lie in [x^2, 2x^2]
+    weighted = []  # (height - base, weight)
+    unit = [np.zeros(0, np.int64)]  # heights - base of weight 24
+    # slope-x pieces go to one difference array per x over (r, q), for the
+    # heights qx + r with q in [x, 2x + 1], laid out from first[x - xa]
+    ncol = xb + 2
+    first = (np.cumsum(gx) - gx) * ncol
+    sink = int(first[-1]) + xb * ncol
+    starts, ends = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+
+    # interior: 0 < y, z < x, weight 48 for w < x and 24 for w = x
+    ny = np.minimum(gx - 1, gy)
+    rx, ry = _expand(ny, gx)
+    ry += 1
+    z = np.arange(1, xb, dtype=np.int32)[None, :]
+    step = max(1, _SWEEP_BLOCK // max(1, xb - 1))
+    for a in range(0, rx.size, step):
+        Y = ry[a : a + step, None]
+        if xa == xb:
+            X, ok = xa, True
+        else:  # rows of several x share the columns z < xb
+            X = rx[a : a + step, None]
+            ok = z < X
+        C, Q, q, r, cm, cp, det0 = _plateau(X, Y, z)
+        # at height C: eps = - on [1, cm], eps = + on [1, cp] less det = 0,
+        # and w = 0
+        weighted.append((C[:, 0] - base, 48 * ((cm + cp + 1 - det0) * ok).sum(axis=1)))
+        # w = x, eps = +: max(C, 2xz, x^2 + Q)
+        Hxp = np.maximum(np.maximum(C, 2 * X * z), X * X + Q)
+        unit.append(np.where(ok, Hxp - base, L).ravel())
+        # eps = +, w in [cp + 1, hi]: xw + Q is the largest entry below
+        # w* = ceil(Q / (2z - x)), 2zw from there on
+        den = 2 * z - X
+        wstar = np.where(den > 0, (Q + den - 1) // np.maximum(den, 1), X)
+        Tq, Tr = divmod(T - 1, X)
+        hi = np.minimum(np.minimum(wstar, X) - 1, Tq - q - (r > Tr))
+        lo = cp + 1
+        run = (hi >= lo) & ok
+        cell = first[X - xa] + r * ncol + q - X
+        starts.append(np.where(run, cell + lo, sink).ravel())
+        ends.append(np.where(run, cell + hi + 1, sink).ravel())
+    # w = x, eps = -: max(C, 2xz) is C for z <= max(x // 2, y), else 2xz
+    # (reached by the rows y < z when 2z > x)
+    weighted.append((rx * np.maximum(rx, 2 * ry) - base, 24 * np.minimum(rx - 1, np.maximum(rx // 2, ry))))
+    cx, cn, k = _expand(np.maximum(gx - 1 - gx // 2, 0), gx, ny)
+    cz = cx // 2 + 1 + k
+    weighted.append((2 * cx * cz - base, 24 * np.minimum(cn, cz - 1)))
+
+    # the surface: y or z is 0 or x (no slope-x piece there)
+    top = gx[gy == gx]
+    fx = np.concatenate([gx, top])
+    X1, Y1, Z1 = _expand(fx + 1, fx, np.concatenate([np.zeros_like(gx), top]))
+    X = np.concatenate([X1, np.repeat(rx, 2)])
+    Y = np.concatenate([Y1, np.repeat(ry, 2)])
+    Z = np.concatenate([Z1, np.repeat(rx, 2) * np.tile(np.int32([0, 1]), rx.size)])
+    C, Q, q, r, cm, cp, det0 = _plateau(X, Y, Z)
+    # 3 * 4/m * sign patterns, which are 2^(nonzero entries - 1), half of
+    # them under each eps when y, z > 0: 48/m, or half that for y = z = 0;
+    # w = x adds one more entry equal to x
+    ey, ez, both = Y == X, Z == X, Q > 0
+    m = 1 + ey + ez
+    lone = (Y | Z) == 0
+    wm = 48 // m - 24 * lone
+    wx = 48 // (m + 1) - 12 * lone
+    Hxm = np.maximum(C, 2 * X * Z)
+    weighted += [
+        (C - base, wm * (cm + both * (cp + 1 - det0))),
+        (Hxm - base, wx),
+        (np.maximum(Hxm, X * X + Q) - base, wx * (both & ~(ey & ez))),
+    ]
+
+    # slope-2z pieces, dense over (x, z, w) with x^2 < 2zw < T: eps = -
+    # from the rows y = 0..k1, eps = + from y = 1..k2
+    zx, k = _expand(gx, gx)
+    zz = k + 1
+    wlo = zx * zx // (2 * zz) + 1
+    wn = np.maximum(np.minimum(zx - 1, (T - 1) // (2 * zz)) - wlo + 1, 0)
+    X, Z, W, k = _expand(wn, zx, zz, wlo)
+    W += k
+    zw = Z * W
+    k1 = (zw - 1) // X
+    k2 = np.minimum(k1, (2 * Z - X) * W // Z)
+    weighted.append((2 * zw - base, (1 + k1 + k2) * np.where(Z == X, 24, 48)))
+
+    h = np.minimum(np.concatenate([np.ravel(h) for h, _ in weighted]), L)
+    w = np.concatenate([np.ravel(w) for _, w in weighted])
+    # float sums of small integers: exact
+    direct = np.bincount(h, w, L + 1).astype(np.int64)
+    direct += 24 * np.bincount(np.minimum(np.concatenate(unit), L), minlength=L + 1)
+    all3[base : base + L] += direct[:L]
+    runs = np.bincount(np.concatenate(starts), minlength=sink + 1)
+    runs -= np.bincount(np.concatenate(ends), minlength=sink + 1)
+    runs = runs[:sink].reshape(-1, ncol).cumsum(axis=1)
+    for x, row in zip(gx.tolist(), (first // ncol).tolist()):
+        span = runs[row : row + x, : x + 1].T.ravel()  # heights x^2 + j
+        n = min(T - x * x, span.size)
+        all3[x * x : x * x + n] += 48 * span[:n]
+
+
+def _sweep_pgl2(T: int, work_limit: int) -> tuple[np.ndarray, int]:
+    """Per height, the primitive canonical-sign matrices with det != 0 and
+    adjoint height < T, and the (x, y, z) triples visited."""
+    if T > _SWEEP_MAX_T:
+        raise EnumerationError(f"T = {T}: heights up to 2T overflow int32")
+    B = math.isqrt(T - 1)
+    # the rows y <= x all have C < T up to x0: a lower bound without arrays
+    x0 = math.isqrt((T - 1) // 2)
+    triples = (x0 + 1) * (x0 + 2) * (2 * x0 + 3) // 6 - 1
+    if triples <= work_limit:
+        xs = np.arange(1, B + 1, dtype=np.int32)
+        ymax = np.minimum(xs, (T - 1) // (2 * xs))
+        sizes = (xs + 1).astype(np.int64) * (ymax + 1)
+        triples = int(sizes.sum())
+    if triples > work_limit:
+        raise ResourceGuardError(f"{triples} triples to visit exceed work limit {work_limit}")
+    all3 = np.zeros(T, dtype=np.int64)
+    lo, acc = 0, 0
+    for i, size in enumerate(sizes.tolist()):
+        acc += size
+        if acc >= _SWEEP_BLOCK or i == B - 1:
+            _sweep_group(T, xs[lo : i + 1], ymax[lo : i + 1], all3)
+            lo, acc = i + 1, 0
+    counts, rest = np.divmod(all3, 3)
+    if rest.any():
+        raise EnumerationError("sweep weights do not add up to whole matrices")
+    # every content d: all[h] = sum over d^2 | h of prim[h / d^2]
+    mu = _mobius(B + 1)
+    prim = counts.copy()
+    for d in np.flatnonzero(mu[2:]) + 2:
+        d2 = int(d) ** 2
+        prim[d2::d2] += int(mu[d]) * counts[1 : (T - 1) // d2 + 1]
+    return prim, triples
+
+
 def scan_pgl2_adjoint(
     T: int,
     primes_tracked: Iterable[int] = (),
@@ -400,6 +604,10 @@ def scan_pgl2_adjoint(
 
     The default radius floor(sqrt(T)) is complete because the adjoint height
     dominates max|entry|^2; a larger radius must not change any count.
+    Without tracked primes the sweep counts the spectrum: it ignores
+    ``threads``, sizes its arrays by isqrt(T - 1) whatever the radius, and
+    reports the (x, y, z) triples it visits as ``cells_visited``, which
+    ``work_limit`` bounds.
     """
     if T < 1:
         raise EnumerationError("T must be >= 1")
@@ -414,6 +622,9 @@ def scan_pgl2_adjoint(
         )
     if B < 1:
         B = 1
+    if not primes:
+        hc, triples = _sweep_pgl2(T, work_limit)
+        return PGL2Scan(threshold=T, radius=B, height_counts=hc, joint={}, cells_visited=triples)
     dmax = 2 * B * B
     if dmax > _INT32_MAX:
         raise EnumerationError(

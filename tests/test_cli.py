@@ -553,6 +553,20 @@ def _rejected_without_record(tmp_path, argv):
     return code == 2 and cache.read_bytes() == before
 
 
+def test_zeta_cutoff_keys_only_the_residue(tmp_path, capsys):
+    cache = tmp_path / "c.jsonl"
+    argv = ["--cache", str(cache), "--json", "zeta", "--primes", "2"]
+    assert main(argv + ["--cutoff", "5"]) == 0
+    first = capsys.readouterr().out
+    assert main(argv + ["--cutoff", "7"]) == 0
+    # without --residue the cutoff changes nothing: a hit, one record
+    assert capsys.readouterr().out == first
+    assert len(cache.read_text().splitlines()) == 1
+    for cutoff in ("5", "7"):
+        assert main(argv + ["--residue", "--cutoff", cutoff]) == 0
+    assert len(cache.read_text().splitlines()) == 3
+
+
 @pytest.mark.parametrize("cutoff", ["1", "0", "-5"])
 def test_main_residue_cutoff_below_2_exit_2(tmp_path, cutoff):
     assert _rejected_without_record(tmp_path, ["zeta", "--residue", "--cutoff", cutoff])

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 import time
@@ -311,11 +312,70 @@ def test_pgl2_resource_guard():
 
 
 def test_pgl2_guard_counts_reduced_cells():
-    # B = 16: the cubes [0, x]^3 of (y, z, w) for x = 1..16
-    cells = sum((x + 1) ** 3 for x in range(1, 17))
-    assert scan_pgl2_adjoint(256, work_limit=cells).cells_visited == cells
+    # without tracked primes the sweep visits, for x = 1..isqrt(T - 1), the
+    # triples (x, y, z) in [0, x]^2 whose least height max(x^2, 2xy) is below T
+    T = 256
+    n = sum(
+        1
+        for x in range(1, math.isqrt(T - 1) + 1)
+        for y in range(x + 1)
+        for z in range(x + 1)
+        if max(x * x, 2 * x * y) < T
+    )
+    assert scan_pgl2_adjoint(T, work_limit=n).cells_visited == n
     with pytest.raises(ResourceGuardError):
-        scan_pgl2_adjoint(256, work_limit=cells - 1)
+        scan_pgl2_adjoint(T, work_limit=n - 1)
+
+
+def test_pgl2_sweep_range_guard_fails_fast():
+    # heights up to 2T are int32 in the sweep: past 2^30 it refuses at once,
+    # whatever the work limit
+    t0 = time.perf_counter()
+    with pytest.raises(EnumerationError, match="int32") as info:
+        scan_pgl2_adjoint(2**30 + 1, work_limit=10**40)
+    assert not isinstance(info.value, ResourceGuardError)
+    assert time.perf_counter() - t0 < 0.1
+
+
+@pytest.mark.parametrize("T", [*range(1, 601), 2048, 4096])
+def test_pgl2_sweep_matches_cell_scan(T):
+    # no tracked primes: the arithmetic-progression sweep; a tracked prime:
+    # the cell scan
+    sweep = scan_pgl2_adjoint(T)
+    assert not sweep.joint
+    assert np.array_equal(sweep.height_counts, scan_pgl2_adjoint(T, (2,)).height_counts)
+
+
+def test_pgl2_sweep_sized_by_threshold_not_radius():
+    # a radius of 2^15 would mean 2^30-entry tables in the cell scan; the
+    # sweep sizes everything by isqrt(T - 1)
+    t0 = time.perf_counter()
+    wide = scan_pgl2_adjoint(4096, radius=2**15)
+    assert time.perf_counter() - t0 < 1.0
+    assert np.array_equal(wide.height_counts, scan_pgl2_adjoint(4096).height_counts)
+
+
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<i8").tobytes()).hexdigest()
+
+
+def test_pgl2_scan_14_digests(pgl2_scan_14):
+    # recorded from the cell scan before the sweep existed
+    assert _digest(pgl2_scan_14.height_counts) == (
+        "d416444c9744b7ba929388a4aa87b10a2ea9bb51cdd07259fcc46dca988b9b54"
+    )
+    assert _digest(pgl2_scan_14.joint[2]) == (
+        "193ef344d91b7afb394f2cec1dcb3f6f5581bce189acaa6b35227ceac4212284"
+    )
+    assert _digest(pgl2_scan_14.joint[3]) == (
+        "3fd6a91e22e88303b6338755feda8f8bf9968acda8760cf9cc5433408f579691"
+    )
+
+
+def test_pgl2_sweep_2_16_digest():
+    hc = scan_pgl2_adjoint(2**16).height_counts
+    assert int(hc.sum()) == 22605088512
+    assert _digest(hc) == "938c28479a4cb9c2c520c650c79a81f80191944ca85fe8b5e40325dd6bec2e8d"
 
 
 def test_pgl2_cells_visited_reduced_domain():
