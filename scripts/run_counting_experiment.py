@@ -3,7 +3,7 @@
 fit the growth law, and calibrate the count-vs-volume constant.
 
 Usage:
-    python scripts/run_counting_experiment.py [--tmax 16384] [--threads 2]
+    python scripts/run_counting_experiment.py [--tmax 16384]
 """
 
 import argparse
@@ -21,7 +21,6 @@ from heightcount.zeta import (
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--tmax", type=int, default=2**14)
-    ap.add_argument("--threads", type=int, default=2)
     ap.add_argument("--cutoff", type=int, default=2000)
     args = ap.parse_args()
 
@@ -34,7 +33,7 @@ def main():
         raise SystemExit("need tmax >= 1024 for a fittable grid")
 
     print(f"scanning adjoint heights < {args.tmax} ...")
-    scan = scan_pgl2_adjoint(args.tmax, threads=args.threads)
+    scan = scan_pgl2_adjoint(args.tmax)
     counts = [(t, scan.spectrum(t).total) for t in grid]
     for t, n in counts:
         print(f"  T = {t:6d}   N = {n:14d}   N/T^2 = {n / t**2:.6f}")

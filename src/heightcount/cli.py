@@ -352,7 +352,7 @@ def payload_invariants(params: dict) -> dict:
     }
 
 
-def payload_count(params: dict, T: int, scan_cache: dict, threads: int) -> dict:
+def payload_count(params: dict, T: int, scan_cache: dict) -> dict:
     kind, extra = _parse_target(params["target"])
     primes = tuple(int(p) for p in params.get("primes", "").split(",") if p)
     # checked for every target: projective counts ignore the primes, but the
@@ -361,11 +361,11 @@ def payload_count(params: dict, T: int, scan_cache: dict, threads: int) -> dict:
     if composite:
         raise ConfigError(f"tracked primes must be prime, got {composite[0]}")
     if kind == "projective":
-        spectrum = _top_spectrum(scan_cache, params, threads).below(T)
+        spectrum = _top_spectrum(scan_cache, params).below(T)
         hists = {}
         total = spectrum.total
     elif kind == "pgl2":
-        scan = _shared_pgl2_scan(scan_cache, params, primes, threads)
+        scan = _shared_pgl2_scan(scan_cache, params, primes)
         spectrum = scan.spectrum(T)
         total = spectrum.total
         hists = {
@@ -374,7 +374,7 @@ def payload_count(params: dict, T: int, scan_cache: dict, threads: int) -> dict:
         }
     else:
         w1, w2 = extra
-        scan = _shared_pgl2_scan(scan_cache, params, primes, threads)
+        scan = _shared_pgl2_scan(scan_cache, params, primes)
         factor = scan.spectrum()
         total = convolve_counts(factor, factor, w1, w2, T)
         spectrum = factor
@@ -388,16 +388,14 @@ def payload_count(params: dict, T: int, scan_cache: dict, threads: int) -> dict:
     }
 
 
-def _shared_pgl2_scan(scan_cache: dict, params: dict, primes, threads: int):
+def _shared_pgl2_scan(scan_cache: dict, params: dict, primes):
     key = (params.get("_scan_T"), primes)
     if key not in scan_cache:
-        scan_cache[key] = scan_pgl2_adjoint(
-            int(params["_scan_T"]), primes, threads=threads
-        )
+        scan_cache[key] = scan_pgl2_adjoint(int(params["_scan_T"]), primes)
     return scan_cache[key]
 
 
-def _top_spectrum(scan_cache: dict, params: dict, threads: int):
+def _top_spectrum(scan_cache: dict, params: dict):
     """The count target's spectrum below ``_scan_T``, the top of the grid,
     from a count or scan this run already made if there is one."""
     kind, extra = _parse_target(params["target"])
@@ -410,7 +408,7 @@ def _top_spectrum(scan_cache: dict, params: dict, threads: int):
     primes = tuple(int(p) for p in params.get("primes", "").split(",") if p)
     scan = scan_cache.get((top, primes))
     if scan is None:
-        scan = _shared_pgl2_scan(scan_cache, params, (), threads)
+        scan = _shared_pgl2_scan(scan_cache, params, ())
     return scan.spectrum()
 
 
@@ -485,9 +483,9 @@ def payload_mixing(params: dict) -> dict:
     }
 
 
-def payload_equidist(params: dict, T: int, scan_cache: dict, threads: int) -> dict:
+def payload_equidist(params: dict, T: int, scan_cache: dict) -> dict:
     primes = tuple(int(p) for p in params.get("primes", "2,3").split(","))
-    scan = _shared_pgl2_scan(scan_cache, params, primes, threads)
+    scan = _shared_pgl2_scan(scan_cache, params, primes)
     rows = {}
     for p in primes:
         hist = scan.histogram(p, T)
@@ -565,7 +563,7 @@ def _compute(config: ExperimentConfig, params: dict, T: int, scan_cache: dict) -
     if sub == "invariants":
         return payload_invariants(params)
     if sub == "count":
-        return payload_count(params, T, scan_cache, config.threads)
+        return payload_count(params, T, scan_cache)
     if sub == "zeta":
         return payload_zeta(params)
     if sub == "fit":
@@ -574,7 +572,7 @@ def _compute(config: ExperimentConfig, params: dict, T: int, scan_cache: dict) -
     if sub == "mixing-probe":
         return payload_mixing(params)
     if sub == "equidist":
-        return payload_equidist(params, T, scan_cache, config.threads)
+        return payload_equidist(params, T, scan_cache)
     raise ConfigError(f"unknown subcommand {sub!r}")
 
 
@@ -585,9 +583,9 @@ def _grid_counts_for_fit(config, params, scan_cache) -> list[tuple[int, int]]:
     kind, extra = _parse_target(params.get("target", "pgl2-adjoint"))
     scan_params = dict(params, _scan_T=str(max(grid)))
     if kind == "projective":
-        spectrum = _top_spectrum(scan_cache, scan_params, config.threads)
+        spectrum = _top_spectrum(scan_cache, scan_params)
         return [(t, spectrum.count_below(t)) for t in grid]
-    scan = _shared_pgl2_scan(scan_cache, scan_params, (), config.threads)
+    scan = _shared_pgl2_scan(scan_cache, scan_params, ())
     if kind == "pgl2":
         return [(t, scan.spectrum(t).total) for t in grid]
     w1, w2 = extra
@@ -607,7 +605,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "local factors, decay bounds",
     )
     ap.add_argument("--config", help="key=value config file")
-    ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted for older command lines; every scan runs on one thread",
+    )
     ap.add_argument("--cache", default="heightcount_cache.jsonl")
     ap.add_argument("--json", action="store_true", help="emit JSON lines to stdout")
     ap.add_argument("--csv", help="write full height spectra to this CSV path")
@@ -718,7 +721,7 @@ def _write_csv(path: str, config: ExperimentConfig, scan_cache: dict) -> None:
     if config.subcommand != "count":
         return
     params = dict(config.parameters, _scan_T=_top_of_grid(config))
-    spectrum = _top_spectrum(scan_cache, params, config.threads)
+    spectrum = _top_spectrum(scan_cache, params)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("height,count\n")
         for h in sorted(spectrum.counts):

@@ -32,8 +32,8 @@ first entry x is the largest are needed: the cube [0, x]^3 of (y, z, w) for
 each x.  There the height is max(C, 2zw) under eps = - and max(C, 2zw,
 xw + yz) under eps = +, with C = max(x^2, 2xy).
 
-Without tracked primes the spectrum comes from a sweep over the triples
-(x, y, z) that never visits w one by one:
+A sweep over the triples (x, y, z) counts them without visiting w one by
+one:
 
 * Weights.  A cell with m entries equal to x stands for 4/m times its sign
   patterns, since the swaps move each of those m positions to the front
@@ -51,24 +51,30 @@ Without tracked primes the spectrum comes from a sweep over the triples
   Ad(dg) = d^2 Ad(g), the primitive ones follow by Moebius inversion:
   prim[h] = sum over d^2 | h of mu(d) all[h / d^2].
 
-That is under B^3/3 triples for B = isqrt(T - 1) and O(T^(3/2)) work, with
-every array sized by B and T whatever the radius.
+* Cartan rows.  Per tracked prime p the same pieces are counted by
+  k = v_p(det).  Along a piece det = A t + c is linear in its free entry
+  t (w, or y for the slope-2z pieces), so either v_p(c) < v_p(A) and every
+  t has k = v_p(c), or det has a p-adic root t* and
+  k = v_p(A) + v_p(t - t*): the t with p^j | det form one residue class
+  modulo p^(j - v_p(A)).  Constant and slope-2z pieces count these classes
+  in closed form for all j at once, up to the first modulus p^emax >= x,
+  past which a piece holds at most one candidate t, whose k is read off
+  |det|.  A slope-x piece adds its whole run to the row of its least k
+  (through a difference array per x, as above) and moves the members of
+  the root's class modulo p to their own k one by one.  Row 0 is the
+  total less the other rows.  Content inverts with a twist, since
+  v_p(det dg) = 2 v_p(d) + v_p(det g):
+  prim_k[h] = sum over d^2 | h of mu(d) all_(k - 2 v_p(d))[h / d^2].
 
-Cartan rows need |det| matrix by matrix, so with tracked primes the cell
-scan visits every cell of the cubes, about B^4/4 of them where the signed
-entries halved by (b, c) -> (-b, -c) took (2B+1)^4/4.  Each orbit counts at
-its lexicographically largest point, weighted by its size.  Inside the cube
-(0 < y, z, w < x) every cell stands for 16 matrices under each eps; the
-cells on its surface are weighted one by one.  The work is cut into blocks
-of a bounded number of cells whatever T is, the blocks are shared among
-threads, and partial counts merge by integer addition, so any partition
-(any thread count) gives identical results.
+That is under B^3/3 triples for B = isqrt(T - 1) and O(T^(3/2)) work for
+the spectrum, with every array sized by B and T whatever the radius; the
+class members of the slope-x pieces add about 1/p of those pieces' cells
+per tracked prime.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -91,8 +97,8 @@ __all__ = [
     "cartan_statistics",
 ]
 
-# work allowed in one PGL_2 scan: the cells it visits, or without tracked
-# primes the (x, y, z) triples of the sweep (2^20 needs about 2.8e8)
+# work allowed in one PGL_2 scan: the (x, y, z) triples of the sweep
+# (2^20 needs about 2.8e8)
 DEFAULT_WORK_LIMIT = 3 * 10**10
 # largest (n+1) T for P^n: the spectrum holds T integers of about
 # (n+1) log2(2T) bits each
@@ -236,7 +242,6 @@ class PGL2Scan:
     below ``threshold``) and, per tracked prime, joint (k, height) counts."""
 
     threshold: int
-    radius: int
     height_counts: np.ndarray  # shape (threshold,), index = height
     joint: dict[int, np.ndarray]  # p -> shape (kmax+1, threshold)
     cells_visited: int = 0  # work done, not a result: kept out of payloads
@@ -265,163 +270,8 @@ class PGL2Scan:
         return CartanHistogram(p=p, freq={int(k): int(c) for k, c in enumerate(per_k) if c})
 
 
-# cells per block of the scan, whatever T is: a numpy temporary of int32
-# cells then takes 256 KB, and a block's temporaries stay in L2 cache
-_BLOCK_CELLS = 1 << 16
-# the scan's cell values (heights, |det|, T as the skip marker) are int32
-_INT32_MAX = 2**31 - 1
-
-
-def _reduced_cells(B: int) -> int:
-    """Cells the scan visits with entries bounded by B: the cube
-    [0, x]^3 of (y, z, w) for each x = 1..B."""
-    return ((B + 1) * (B + 2) // 2) ** 2 - 1
-
-
-class _Tally:
-    """Accumulators of one worker: counts per height and, per tracked prime,
-    counts per (k, height) for k >= 1 (the k = 0 row is the total minus
-    these, filled in at the end)."""
-
-    def __init__(self, T: int, vluts: dict, kmaxs: dict):
-        self.T = T
-        self.vluts = vluts
-        self.heights = np.zeros(T, dtype=np.int64)
-        self.joint = {p: np.zeros((kmaxs[p], T), dtype=np.int64) for p in vluts}
-
-    def add(self, h: np.ndarray, det: np.ndarray, weights=None) -> None:
-        """Count matrices of height h and |det| det, one per entry or
-        ``weights`` (an array aligned with h) of them."""
-        if not h.size:
-            return
-        # bins only from the least height up: a block's heights are >= x^2
-        lo = int(h.min())
-        width = self.T - lo
-        h = h - lo
-        self.heights[lo:] += _bincount(h, weights, width)
-        for p, vlut in self.vluts.items():
-            k = np.take(vlut, det)
-            hit = np.flatnonzero(k)  # only where p | det
-            idx = np.take(k, hit).astype(np.intp) * width + np.take(h, hit) - width
-            w = None if weights is None else np.take(weights, hit)
-            rows = self.joint[p]
-            rows[:, lo:] += _bincount(idx, w, len(rows) * width).reshape(-1, width)
-
-
-def _bincount(idx: np.ndarray, weights, n: int) -> np.ndarray:
-    c = np.bincount(idx, weights=weights, minlength=n)
-    # weighted counts are float sums of small integers: exact
-    return c if weights is None else c.astype(np.int64)
-
-
-def _tally_cells(tally: _Tally, Hc, P, Q, w_minus=None, w_plus=None) -> None:
-    """Count cells under both signs eps = sign(ad * bc).
-
-    Hc is the height without the ad + bc entry (T on cells not counted),
-    P = |ad| and Q = |bc|; w_minus and w_plus, arrays shaped like Hc, are
-    the canonical matrices a cell stands for under each sign (one if None).
-    """
-    T = tally.T
-    S = P + Q  # eps = -: |det| = P + Q and |ad + bc| = |P - Q|
-    D = P - Q  # eps = +: |det| = |P - Q| and |ad + bc| = P + Q
-    np.abs(D, out=D)
-    H = np.maximum(Hc, D)
-    keep = H < T
-    h, s, d = H[keep], S[keep], D[keep]
-    if w_minus is not None:
-        w_minus, w_plus = w_minus[keep], w_plus[keep]
-    tally.add(h, s, w_minus)
-    h_plus = np.maximum(h, s)  # = max(Hc, P + Q), as P + Q >= |P - Q|
-    ok = (h_plus < T) & (d != 0)
-    tally.add(h_plus[ok], d[ok], None if w_plus is None else w_plus[ok])
-
-
-def _scan_bulk(x: int, zlo: int, zhi: int, gcd_lut, tally: _Tally) -> None:
-    """Cells with 1 <= y, w < x and zlo <= z < zhi (within [1, x)).
-
-    x is the strict maximum of a nonzero cell, so the cell is the only point
-    of its orbit in the domain (weight 4), and each sign eps has 4 canonical
-    sign patterns: every cell stands for 16 matrices under each eps.  The
-    tally counts cells; the factor 16 is applied when tallies merge.  In
-    the cube [0, x]^3, Hc = max(x^2, 2xy, 2zw).
-    """
-    T = tally.T
-    y = np.arange(1, x, dtype=np.int32)
-    z = np.arange(zlo, zhi, dtype=np.int32)[:, None]
-    w = np.arange(1, x, dtype=np.int32)[None, :]
-    # primitivity needs only gcd(x, y) per y: one (z, w) table per divisor
-    divs, row = np.unique(gcd_lut[x, 1:x], return_inverse=True)
-    coprime = gcd_lut[divs[:, None, None], gcd_lut[z, w][None]] == 1
-    table = np.where(coprime, np.maximum(x * x, 2 * z * w)[None], T).astype(np.int32)
-    P = (x * w)[None]
-    step = max(1, _BLOCK_CELLS // table[0].size)
-    for lo in range(0, x - 1, step):
-        ys = y[lo : lo + step]
-        Hc = np.take(table, row[lo : lo + step], axis=0)
-        np.maximum(Hc, (2 * x * ys)[:, None, None], out=Hc)
-        _tally_cells(tally, Hc, P, ys[:, None, None] * z[None])
-
-
-def _surface_cells(x: int):
-    """The (y, z, w) in [0, x]^3 with a coordinate equal to 0 or x."""
-    full = np.arange(x + 1, dtype=np.int32)
-    ends, mid = full[[0, x]], full[1:x]
-    grids = [
-        np.meshgrid(*axes, indexing="ij")
-        for axes in ((ends, full, full), (mid, ends, full), (mid, mid, ends))
-    ]
-    return [np.concatenate([g[i].ravel() for g in grids]) for i in range(3)]
-
-
-def _scan_surface(xlo: int, xhi: int, gcd_lut, tally: _Tally) -> None:
-    """The cells of the cubes x = xlo..xhi-1 outside the bulk: y, z or w is
-    0 or equal to x.  Weights are worked out per cell."""
-    parts = [(x, *_surface_cells(x)) for x in range(xlo, xhi)]
-    X = np.concatenate([np.full(len(p[1]), p[0], dtype=np.int32) for p in parts])
-    Y, Z, W = (np.concatenate([p[i] for p in parts]) for i in (1, 2, 3))
-    # Each orbit of the row swap R and the column swap C counts at its
-    # lexicographically largest point, with the orbit's size.  As x is the
-    # largest entry, the cell loses to R (z, w, x, y) only if z = x and
-    # y < w, and R fixes it if z = x and y = w; likewise C (y, x, w, z) and
-    # RC (w, z, y, x).
-    ty, tz, tw = Y == X, Z == X, W == X
-    rep = ~(tz & (Y < W)) & ~(ty & (Z < W)) & ~(tw & (Y < Z))
-    # gcd(x, y, z, w) == 1, by flat lookups (faster than 2d fancy indexing)
-    lut, n = gcd_lut.ravel(), gcd_lut.shape[1]
-    rep &= np.take(lut, np.take(lut, X * n + Y) * n + np.take(lut, Z * n + W)) == 1
-    fixed = (tz & (Y == W)).astype(np.int32) + (ty & (Z == W)) + (tw & (Y == Z))
-    orbit = 4 // (1 + fixed)
-    # canonical sign patterns: 4 under each eps when ad, bc != 0, else all
-    # 2^(nonzero entries - 1) under one eps (both give one height and |det|)
-    nonzero = (Y > 0).astype(np.int32) + (Z > 0) + (W > 0)  # besides x
-    both = nonzero == 3
-    w_minus = np.where(both, 4, 0) * orbit
-    w_plus = np.where(both, 4, 1 << nonzero) * orbit
-    Hc = np.maximum(X * X, np.maximum(2 * X * Y, 2 * Z * W))
-    _tally_cells(tally, np.where(rep, Hc, tally.T), X * W, Y * Z, w_minus, w_plus)
-
-
-def _scan_tasks(B: int) -> list[tuple[int, tuple]]:
-    """(cells, task) pairs covering the domain: bulk slabs of one x and a
-    z-range, and surface runs of consecutive x, each about a block."""
-    tasks = []
-    for x in range(2, B + 1):
-        n = x - 1
-        step = max(1, _BLOCK_CELLS // (n * n))
-        for zlo in range(1, x, step):
-            zhi = min(x, zlo + step)
-            tasks.append((n * n * (zhi - zlo), ("bulk", x, zlo, zhi)))
-    xlo, cells = 1, 0
-    for x in range(1, B + 1):
-        cells += 6 * x * x + 2
-        if cells >= _BLOCK_CELLS or x == B:
-            tasks.append((cells, ("surface", xlo, x + 1)))
-            xlo, cells = x + 1, 0
-    return tasks
-
-
 # --------------------------------------------------------------------------
-# the sweep: the spectrum without tracked primes
+# the sweep: the spectrum and the Cartan rows
 
 # (x, y, z) triples per numpy block of the sweep: temporaries stay in L2
 _SWEEP_BLOCK = 1 << 14
@@ -452,10 +302,156 @@ def _plateau(X, Y, Z):
     return C, Q, q, r, cm, cp, det0
 
 
-def _sweep_group(T: int, gx: np.ndarray, gy: np.ndarray, all3: np.ndarray) -> None:
+class _CartanRows:
+    """The sweep's Cartan rows at one tracked prime p: three times the
+    matrices of every content per (k, height) with k = v_p(det), in
+    ``rows``.  Its last row collects det = 0 and its last column the
+    heights from T on; both are dropped.
+
+    Along a piece det = A t + Bc is linear in the free entry t.  If
+    v_p(Bc) < v_p(A) every t has k = v_p(Bc); otherwise det has a p-adic
+    root t* and k = v_p(A) + v_p(t - t*), so the t with k >= v_p(A) + e
+    form one residue class modulo p^e.  ``interval`` counts these classes
+    per group of x while p^e < x; from p^emax >= x on, beyond the longest
+    piece, a piece holds at most one candidate t, whose k is read off
+    |det|.  ``runs`` takes the slope-x pieces, whose heights vary along t.
+    """
+
+    def __init__(self, p: int, T: int, B: int):
+        self.p = p
+        # v_p(n) for |det| <= 2x^2 in the sweep's domain, up to K
+        self.vtab = _val_table(p, 2 * B * B).astype(np.int8)
+        K = int(self.vtab.max())
+        self.vtab[0] = K + 1  # det = 0: the dropped row
+        P = p
+        while P < B:
+            P *= p
+        # residues modulo P <= 2B^2 and their products: int32 while P^2 fits
+        dt = np.int32 if P * P < 2**31 else np.int64
+        self.pw = p ** np.arange(K + 1, dtype=dt)
+        self.inv = np.zeros(B + 1, dtype=dt)  # of the p-free part of a, mod P
+        for a in range(1, B + 1):
+            self.inv[a] = pow(a // p ** int(self.vtab[a]), -1, P)
+        self.rows = np.zeros((K + 2, T + 1), dtype=np.int64)
+        self.flat = self.rows.reshape(-1)
+
+    def start_group(self, gx: np.ndarray) -> None:
+        """Set up the group of x = gx: the classes modulo p^e for e < emax,
+        and the difference array of the slope-x pieces' whole runs, with
+        rows (k, r) for k = 1..v_p(x) and r = 0..x-1 per x and the columns
+        q - x of the sweep's layout."""
+        p, xb = self.p, int(gx[-1])
+        emax = 1
+        while p**emax < xb:
+            emax += 1
+        self.emax, self.P = emax, p**emax
+        self.xa = int(gx[0])
+        self.vx = self.vtab[gx]
+        self.ncol = xb + 2
+        size = gx.astype(np.int64) * self.vx * self.ncol
+        self.first = np.cumsum(size) - size
+        self.lay = np.zeros(int(size.sum()), dtype=np.int64)
+
+    def _add(self, k, h, w) -> None:
+        """Add w matrices at (k, h), broadcast together; heights from T on
+        go to a last column that is dropped."""
+        T = self.rows.shape[1] - 1
+        idx = k.astype(np.int64) * (T + 1) + np.minimum(h, T)
+        idx, w = np.broadcast_arrays(idx, w)
+        # flat int64 operands take numpy's fast path
+        np.add.at(self.flat, idx.ravel(), w.astype(np.int64).ravel())
+
+    def cells(self, det, h, w) -> None:
+        """Single cells of |det| det at height h, w matrices each."""
+        self._add(self.vtab[det], h, w)
+
+    def _root(self, v, A, Bc, mod):
+        """t* modulo ``mod`` (a power of p up to P) for det = A t + Bc with
+        v = v_p(A), where v_p(Bc) >= v."""
+        return (-Bc // self.pw[v] % mod) * (self.inv[A] % mod) % mod
+
+    def interval(self, A, Bc, h, plus, minus) -> None:
+        """Two pieces (lo, hi, w) at heights h: the t in [lo, hi] of
+        det = A t + Bc for ``plus`` and of det = A t - Bc for ``minus``,
+        w matrices each.  A > 0 and h are columns, one value per row; Bc
+        and the pieces' arrays are 2-d."""
+        R = np.shape(h)[0]
+        A = np.broadcast_to(A, (R, 1))
+        v, u = self.vtab[A], self.vtab[np.abs(Bc)]
+        low = u < v  # no root: every t has k = v_p(Bc)
+        P = self.P
+        root = self._root(v, A, Bc, P)
+        # ge[e]: the t with k >= v + e for e = 0..emax, weighted and summed
+        # over the row (at most one t per piece for e = emax)
+        ge = np.zeros((self.emax + 1, R), dtype=np.int64)
+        for sign, (lo, hi, w) in ((1, plus), (-1, minus)):
+            if sign < 0:
+                root = np.where(root, P - root, 0)
+            lo, hi, w = (np.broadcast_to(a, Bc.shape).astype(np.int32) for a in (lo, hi, w))
+            hi = np.maximum(hi, lo - 1)
+            n = hi - lo + 1
+            tc = root + P * (root < lo)  # the first t >= lo in the class mod P
+            hit = (tc <= hi) & ~low
+            wl = w * ~low
+            ge[0] += (n * wl).sum(axis=1)
+            r = (root % (P // self.p)).astype(np.int32)
+            a, b = hi - r, lo - 1 - r
+            for e in range(1, self.emax):
+                s = self.p**e  # a scalar divisor: numpy's fast path
+                ge[e] += ((a // s - b // s) * wl).sum(axis=1)
+            ge[-1] += (hit * wl).sum(axis=1)
+            # one entry per t: a rootless piece all at k = v_p(Bc), or the
+            # candidate at its own k
+            tc = np.minimum(tc, np.maximum(hi, lo))
+            kc = np.where(low, u, self.vtab[np.abs(A * tc + sign * Bc)])
+            self._add(kc, h, w * np.where(low, n, hit))
+        k = v[:, 0] + np.arange(self.emax)[:, None]
+        self._add(k, h[:, 0], ge[:-1] - ge[1:])
+
+    def runs(self, X, Q, lo, hi, run, r, q) -> None:
+        """The eps = + slope-x pieces where ``run``: w in [lo, hi] at
+        heights xw + Q, det = xw - Q, 48 matrices each.
+
+        A run has k >= min(v_p(Q), v_p(x)) throughout, and k exactly that
+        off the class of the root modulo p.  Whole runs go to the rows of
+        that k (for k >= 1); the class members are moved from there to
+        their own k one by one."""
+        sel = np.nonzero(run)
+        X, Q, lo, hi, r, q = (np.broadcast_to(a, run.shape)[sel].astype(np.int64) for a in (X, Q, lo, hi, r, q))
+        v, u = self.vtab[X], self.vtab[Q]
+        k = np.minimum(u, v)
+        whole = k >= 1
+        cell = self.first[X - self.xa] + ((k - 1) * X + r) * self.ncol + q - X
+        np.add.at(self.lay, (cell + lo)[whole], 1)
+        np.subtract.at(self.lay, (cell + hi + 1)[whole], 1)
+        # the class members w = w1, w1 + p, ... of runs with a root
+        p = self.p
+        rt = self._root(v, X, -Q, p)
+        w1 = lo + (rt - lo) % p
+        m = np.where(u >= v, np.maximum((hi - w1) // p + 1, 0), 0)
+        X, Q, v, w, j = _expand(m, X, Q, v, w1)
+        w += p * j
+        h = X * w + Q
+        self._add(np.stack([v, self.vtab[X * w - Q]]), h, np.array([[-48], [48]]))
+
+    def end_group(self, gx: np.ndarray, T: int) -> None:
+        """Add the group's whole runs, 48 matrices per cell."""
+        if self.lay.size:
+            lay = self.lay.reshape(-1, self.ncol).cumsum(axis=1).ravel()
+            for x, start, v in zip(gx.tolist(), self.first.tolist(), self.vx.tolist()):
+                if not v:
+                    continue
+                n = min(T - x * x, x * (x + 1))
+                rows = lay[start : start + v * x * self.ncol].reshape(v, x, self.ncol)
+                span = rows[:, :, : x + 1].transpose(0, 2, 1).reshape(v, -1)  # heights x^2 + j
+                self.rows[1 : v + 1, x * x : x * x + n] += 48 * span[:, :n]
+
+
+def _sweep_group(T: int, gx: np.ndarray, gy: np.ndarray, all3: np.ndarray, cartan=()) -> None:
     """Add three times the counts of the cubes x = gx[0], ..., gx[-1]
-    (consecutive) to ``all3``; the rows y = 0..gy[i] of x = gx[i] are those
-    with C < T.  A cell (x, y, z) stands for w = 0..x."""
+    (consecutive) to ``all3``, and their Cartan rows to each of ``cartan``;
+    the rows y = 0..gy[i] of x = gx[i] are those with C < T.  A cell
+    (x, y, z) stands for w = 0..x."""
     xa, xb = int(gx[0]), int(gx[-1])
     base = xa * xa
     L = min(T, 2 * xb * xb + 1) - base  # heights here lie in [x^2, 2x^2]
@@ -467,6 +463,8 @@ def _sweep_group(T: int, gx: np.ndarray, gy: np.ndarray, all3: np.ndarray) -> No
     first = (np.cumsum(gx) - gx) * ncol
     sink = int(first[-1]) + xb * ncol
     starts, ends = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for cr in cartan:
+        cr.start_group(gx)
 
     # interior: 0 < y, z < x, weight 48 for w < x and 24 for w = x
     ny = np.minimum(gx - 1, gy)
@@ -499,6 +497,13 @@ def _sweep_group(T: int, gx: np.ndarray, gy: np.ndarray, all3: np.ndarray) -> No
         cell = first[X - xa] + r * ncol + q - X
         starts.append(np.where(run, cell + lo, sink).ravel())
         ends.append(np.where(run, cell + hi + 1, sink).ravel())
+        for cr in cartan:
+            # eps = -: det = xw + Q; eps = +: |det| = |xw - Q|
+            cr.interval(X, Q, C, (1, cm, 48 * ok), (0, cp, 48 * ok))
+            # w = x under eps = + and eps = -
+            cr.cells(X * X - Q, Hxp, 24 * ok)
+            cr.cells(X * X + Q, np.maximum(C, 2 * X * z), 24 * ok)
+            cr.runs(X, Q, lo, hi, run, r, q)
     # w = x, eps = -: max(C, 2xz) is C for z <= max(x // 2, y), else 2xz
     # (reached by the rows y < z when 2z > x)
     weighted.append((rx * np.maximum(rx, 2 * ry) - base, 24 * np.minimum(rx - 1, np.maximum(rx // 2, ry))))
@@ -528,6 +533,11 @@ def _sweep_group(T: int, gx: np.ndarray, gy: np.ndarray, all3: np.ndarray) -> No
         (Hxm - base, wx),
         (np.maximum(Hxm, X * X + Q) - base, wx * (both & ~(ey & ez))),
     ]
+    for cr in cartan:
+        X2, Q2, C2 = X[:, None], Q[:, None], C[:, None]
+        cr.interval(X2, Q2, C2, (1, cm[:, None], wm[:, None]), (0, cp[:, None], (wm * both)[:, None]))
+        cr.cells(X * X + Q, Hxm, wx)
+        cr.cells(X * X - Q, np.maximum(Hxm, X * X + Q), wx * (both & ~(ey & ez)))
 
     # slope-2z pieces, dense over (x, z, w) with x^2 < 2zw < T: eps = -
     # from the rows y = 0..k1, eps = + from y = 1..k2
@@ -541,6 +551,10 @@ def _sweep_group(T: int, gx: np.ndarray, gy: np.ndarray, all3: np.ndarray) -> No
     k1 = (zw - 1) // X
     k2 = np.minimum(k1, (2 * Z - X) * W // Z)
     weighted.append((2 * zw - base, (1 + k1 + k2) * np.where(Z == X, 24, 48)))
+    for cr in cartan:
+        # rows y of det = yz + xw (eps = -) and yz - xw (eps = +, up to sign)
+        Z2, XW, H2, wz = Z[:, None], (X * W)[:, None], 2 * zw[:, None], np.where(Z == X, 24, 48)[:, None]
+        cr.interval(Z2, XW, H2, (0, k1[:, None], wz), (1, k2[:, None], wz))
 
     h = np.minimum(np.concatenate([np.ravel(h) for h, _ in weighted]), L)
     w = np.concatenate([np.ravel(w) for _, w in weighted])
@@ -555,11 +569,14 @@ def _sweep_group(T: int, gx: np.ndarray, gy: np.ndarray, all3: np.ndarray) -> No
         span = runs[row : row + x, : x + 1].T.ravel()  # heights x^2 + j
         n = min(T - x * x, span.size)
         all3[x * x : x * x + n] += 48 * span[:n]
+    for cr in cartan:
+        cr.end_group(gx, T)
 
 
-def _sweep_pgl2(T: int, work_limit: int) -> tuple[np.ndarray, int]:
+def _sweep_pgl2(T: int, primes, work_limit: int) -> tuple[np.ndarray, dict, int]:
     """Per height, the primitive canonical-sign matrices with det != 0 and
-    adjoint height < T, and the (x, y, z) triples visited."""
+    adjoint height < T; per tracked prime their (k, height) counts; and the
+    (x, y, z) triples visited."""
     if T > _SWEEP_MAX_T:
         raise EnumerationError(f"T = {T}: heights up to 2T overflow int32")
     B = math.isqrt(T - 1)
@@ -574,22 +591,39 @@ def _sweep_pgl2(T: int, work_limit: int) -> tuple[np.ndarray, int]:
     if triples > work_limit:
         raise ResourceGuardError(f"{triples} triples to visit exceed work limit {work_limit}")
     all3 = np.zeros(T, dtype=np.int64)
+    # a prime above every |det| <= 2B^2 leaves all matrices at k = 0
+    cartan = [_CartanRows(p, T, B) for p in primes if p <= 2 * B * B]
     lo, acc = 0, 0
     for i, size in enumerate(sizes.tolist()):
         acc += size
         if acc >= _SWEEP_BLOCK or i == B - 1:
-            _sweep_group(T, xs[lo : i + 1], ymax[lo : i + 1], all3)
+            _sweep_group(T, xs[lo : i + 1], ymax[lo : i + 1], all3, cartan)
             lo, acc = i + 1, 0
-    counts, rest = np.divmod(all3, 3)
-    if rest.any():
-        raise EnumerationError("sweep weights do not add up to whole matrices")
-    # every content d: all[h] = sum over d^2 | h of prim[h / d^2]
+    counts = _thirds(all3)
+    rows = {p: counts[None] for p in primes}
+    for cr in cartan:
+        exact = _thirds(cr.rows[1:-1, :T])
+        rows[cr.p] = np.vstack([counts - exact.sum(axis=0), exact])
+    # every content d: all[h] = sum over d^2 | h of prim[h / d^2], and
+    # v_p(det dg) = 2 v_p(d) + v_p(det g)
     mu = _mobius(B + 1)
     prim = counts.copy()
+    joint = {p: r.copy() for p, r in rows.items()}
     for d in np.flatnonzero(mu[2:]) + 2:
-        d2 = int(d) ** 2
-        prim[d2::d2] += int(mu[d]) * counts[1 : (T - 1) // d2 + 1]
-    return prim, triples
+        d2, m = int(d) ** 2, int(mu[d])
+        n = (T - 1) // d2
+        prim[d2::d2] += m * counts[1 : n + 1]
+        for p, r in rows.items():
+            s = 2 if d % p == 0 else 0
+            joint[p][s:, d2::d2] += m * r[: len(r) - s, 1 : n + 1]
+    return prim, joint, triples
+
+
+def _thirds(a: np.ndarray) -> np.ndarray:
+    counts, rest = np.divmod(a, 3)
+    if rest.any():
+        raise EnumerationError("sweep weights do not add up to whole matrices")
+    return counts
 
 
 def scan_pgl2_adjoint(
@@ -603,11 +637,11 @@ def scan_pgl2_adjoint(
     adjoint height < T, with entries in [-radius, radius].
 
     The default radius floor(sqrt(T)) is complete because the adjoint height
-    dominates max|entry|^2; a larger radius must not change any count.
-    Without tracked primes the sweep counts the spectrum: it ignores
-    ``threads``, sizes its arrays by isqrt(T - 1) whatever the radius, and
-    reports the (x, y, z) triples it visits as ``cells_visited``, which
-    ``work_limit`` bounds.
+    dominates max|entry|^2; a larger radius must not change any count, and
+    sets only the rows of ``joint`` (k up to log_p(2 radius^2)).  The sweep
+    runs on one thread whatever ``threads`` says, sizes its arrays by
+    isqrt(T - 1), and reports the (x, y, z) triples it visits as
+    ``cells_visited``, which ``work_limit`` bounds.
     """
     if T < 1:
         raise EnumerationError("T must be >= 1")
@@ -622,55 +656,16 @@ def scan_pgl2_adjoint(
         )
     if B < 1:
         B = 1
-    if not primes:
-        hc, triples = _sweep_pgl2(T, work_limit)
-        return PGL2Scan(threshold=T, radius=B, height_counts=hc, joint={}, cells_visited=triples)
-    dmax = 2 * B * B
-    if dmax > _INT32_MAX:
-        raise EnumerationError(
-            f"radius {B}: |det| and heights up to 2B^2 = {dmax} overflow int32"
-        )
-    cells = _reduced_cells(B)
-    if cells > work_limit:
-        raise ResourceGuardError(f"{cells} cells to visit exceed work limit {work_limit}")
-    kmaxs = {}
-    for p in primes:
-        k, pk = 0, p
-        while pk <= dmax:
-            k, pk = k + 1, pk * p
-        kmaxs[p] = k
-    # a counted cell has entries below sqrt(T), so |det| < 2T
-    vluts = {p: _val_table(p, min(dmax, 2 * T)).astype(np.int8) for p in primes}
-    gcd_lut = np.gcd.outer(np.arange(B + 1, dtype=np.int32), np.arange(B + 1, dtype=np.int32))
-
-    def work(batch) -> tuple[_Tally, _Tally]:
-        bulk, surface = _Tally(T, vluts, kmaxs), _Tally(T, vluts, kmaxs)
-        for kind, *args in batch:
-            if kind == "bulk":
-                _scan_bulk(*args, gcd_lut, bulk)
-            else:
-                _scan_surface(*args, gcd_lut, surface)
-        return bulk, surface
-
-    # largest tasks first, each to the worker with the fewest cells
-    threads = max(1, int(threads))
-    batches, loads = [[] for _ in range(threads)], [0] * threads
-    for size, task in sorted(_scan_tasks(B), key=lambda t: -t[0]):
-        i = loads.index(min(loads))
-        batches[i].append(task)
-        loads[i] += size
-    if threads == 1:
-        tallies = [work(batches[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            tallies = list(ex.map(work, batches))
-    # integer sums: any partition of the tasks merges to the same arrays
-    hc = sum(16 * bulk.heights + surface.heights for bulk, surface in tallies)
+    hc, rows, triples = _sweep_pgl2(T, primes, work_limit)
     joint = {}
-    for p in primes:
-        rest = sum(16 * bulk.joint[p] + surface.joint[p] for bulk, surface in tallies)
-        joint[p] = np.vstack([hc - rest.sum(axis=0), rest])
-    return PGL2Scan(threshold=T, radius=B, height_counts=hc, joint=joint, cells_visited=sum(loads))
+    for p, r in rows.items():
+        # rows k = 0..kmax for every |det| <= 2 radius^2
+        kmax, pk = 0, p
+        while pk <= 2 * B * B:
+            kmax, pk = kmax + 1, pk * p
+        joint[p] = np.zeros((kmax + 1, T), dtype=np.int64)
+        joint[p][: len(r)] = r
+    return PGL2Scan(threshold=T, height_counts=hc, joint=joint, cells_visited=triples)
 
 
 # --------------------------------------------------------------------------

@@ -239,6 +239,137 @@ def signed_entry_scan(T, primes=(2, 3, 5)):
     return hc, {p: joint[p].reshape(kmaxs[p] + 1, T) for p in primes}
 
 
+# The scan this package used before the sweep counted Cartan rows: every
+# cell (x, y, z, w) of the cubes [0, x]^3 of (y, z, w) under x = max entry,
+# about B^4/4 of them.  Each orbit of the row and column swaps counts at its
+# lexicographically largest point, weighted by its size; inside the cube
+# (0 < y, z, w < x) a cell stands for 16 matrices under each eps, and the
+# cells on its surface are weighted one by one.  Kept here as an exact
+# oracle for the Cartan rows.
+
+# cells per numpy block: int32 temporaries of 256 KB
+_BLOCK_CELLS = 1 << 16
+
+
+class _Tally:
+    """Counts per height and, per prime, per (k, height) for k >= 1 (the
+    k = 0 row is the total minus these, filled in at the end)."""
+
+    def __init__(self, T, vluts, kmaxs):
+        self.T = T
+        self.vluts = vluts
+        self.heights = np.zeros(T, dtype=np.int64)
+        self.joint = {p: np.zeros((kmaxs[p], T), dtype=np.int64) for p in vluts}
+
+    def add(self, h, det, weights=None):
+        """Count matrices of height h and |det| det, one per entry or
+        ``weights`` (aligned with h) of them."""
+        self.heights += np.bincount(h, weights, self.T).astype(np.int64)
+        for p, vlut in self.vluts.items():
+            k = vlut[det]
+            hit = k > 0
+            w = None if weights is None else weights[hit]
+            rows = self.joint[p]
+            idx = (k[hit] - 1) * self.T + h[hit]
+            rows += np.bincount(idx, w, rows.size).astype(np.int64).reshape(rows.shape)
+
+
+def _tally_cells(tally, Hc, P, Q, w_minus=None, w_plus=None):
+    """Count cells under both signs eps = sign(ad * bc): Hc is the height
+    without the ad + bc entry (T where not counted), P = |ad|, Q = |bc|,
+    w_minus and w_plus the canonical matrices per cell (one if None)."""
+    T = tally.T
+    S = P + Q  # eps = -: |det| = P + Q and |ad + bc| = |P - Q|
+    D = np.abs(P - Q)  # eps = +: |det| = |P - Q| and |ad + bc| = P + Q
+    H = np.maximum(Hc, D)
+    keep = H < T
+    h, s, d = H[keep], S[keep], D[keep]
+    if w_minus is not None:
+        w_minus, w_plus = w_minus[keep], w_plus[keep]
+    tally.add(h, s, w_minus)
+    h_plus = np.maximum(h, s)
+    ok = (h_plus < T) & (d != 0)
+    tally.add(h_plus[ok], d[ok], None if w_plus is None else w_plus[ok])
+
+
+def _scan_bulk(x, gcd_lut, tally):
+    """Cells with 1 <= y, z, w < x: x is the strict maximum, so the cell is
+    the only point of its orbit in the domain and stands for 16 matrices
+    under each eps; the tally counts cells, the factor 16 comes later."""
+    T = tally.T
+    if x < 2:
+        return
+    y = np.arange(1, x, dtype=np.int32)
+    z = np.arange(1, x, dtype=np.int32)[:, None]
+    w = np.arange(1, x, dtype=np.int32)[None, :]
+    # primitivity needs only gcd(x, y) per y: one (z, w) table per divisor
+    divs, row = np.unique(gcd_lut[x, 1:x], return_inverse=True)
+    coprime = gcd_lut[divs[:, None, None], gcd_lut[z, w][None]] == 1
+    table = np.where(coprime, np.maximum(x * x, 2 * z * w)[None], T).astype(np.int32)
+    P = (x * w)[None]
+    step = max(1, _BLOCK_CELLS // table[0].size)
+    for lo in range(0, x - 1, step):
+        ys = y[lo : lo + step]
+        Hc = np.take(table, row[lo : lo + step], axis=0)
+        np.maximum(Hc, (2 * x * ys)[:, None, None], out=Hc)
+        _tally_cells(tally, Hc, P, ys[:, None, None] * z[None])
+
+
+def _scan_surface(x, gcd_lut, tally):
+    """The cells of the cube x with y, z or w equal to 0 or x, weighted one
+    by one."""
+    full = np.arange(x + 1, dtype=np.int32)
+    ends, mid = full[[0, x]], full[1:x]
+    grids = [
+        np.meshgrid(*axes, indexing="ij")
+        for axes in ((ends, full, full), (mid, ends, full), (mid, mid, ends))
+    ]
+    Y, Z, W = (np.concatenate([g[i].ravel() for g in grids]) for i in range(3))
+    # the cell loses to the row swap (z, w, x, y) only if z = x and y < w,
+    # which fixes it if z = x and y = w; likewise the column swap
+    # (y, x, w, z) and both (w, z, y, x)
+    ty, tz, tw = Y == x, Z == x, W == x
+    rep = ~(tz & (Y < W)) & ~(ty & (Z < W)) & ~(tw & (Y < Z))
+    rep &= gcd_lut[gcd_lut[x, Y], gcd_lut[Z, W]] == 1
+    fixed = (tz & (Y == W)).astype(np.int32) + (ty & (Z == W)) + (tw & (Y == Z))
+    orbit = 4 // (1 + fixed)
+    # canonical sign patterns: 4 under each eps when ad, bc != 0, else all
+    # 2^(nonzero entries - 1) under one eps
+    nonzero = (Y > 0).astype(np.int32) + (Z > 0) + (W > 0)
+    both = nonzero == 3
+    w_minus = np.where(both, 4, 0) * orbit
+    w_plus = np.where(both, 4, 1 << nonzero) * orbit
+    Hc = np.maximum(x * x, np.maximum(2 * x * Y, 2 * Z * W))
+    _tally_cells(tally, np.where(rep, Hc, tally.T), x * W, Y * Z, w_minus, w_plus)
+
+
+@functools.lru_cache(maxsize=None)
+def cell_scan(T, primes=(2, 3, 5, 7), radius=None):
+    """(height_counts, {p: joint}) of the cell scan, joint rows k = 0..kmax
+    for |det| up to 2 radius^2 (radius floor(sqrt(T)) by default)."""
+    B = max(1, math.isqrt(T) if radius is None else radius)
+    dmax = 2 * B * B
+    kmaxs = {}
+    for p in primes:
+        k, pk = 0, p
+        while pk <= dmax:
+            k, pk = k + 1, pk * p
+        kmaxs[p] = k
+    # a counted cell has entries below sqrt(T), so |det| < 2T
+    vluts = {p: _val_table(p, min(dmax, 2 * T)) for p in primes}
+    gcd_lut = np.gcd.outer(np.arange(B + 1), np.arange(B + 1))
+    bulk, surface = _Tally(T, vluts, kmaxs), _Tally(T, vluts, kmaxs)
+    for x in range(1, math.isqrt(max(T - 1, 0)) + 1):
+        _scan_bulk(x, gcd_lut, bulk)
+        _scan_surface(x, gcd_lut, surface)
+    hc = 16 * bulk.heights + surface.heights
+    joint = {}
+    for p in primes:
+        rest = 16 * bulk.joint[p] + surface.joint[p]
+        joint[p] = np.vstack([hc - rest.sum(axis=0), rest])
+    return hc, joint
+
+
 @pytest.mark.parametrize("primes", [(), (2,), (2, 3, 5)])
 @pytest.mark.parametrize("T", [1, 2, 5, 16, 17, 100, 1000, 2048, 4096])
 def test_pgl2_scan_matches_signed_entry_oracle(T, primes):
@@ -337,13 +468,28 @@ def test_pgl2_sweep_range_guard_fails_fast():
     assert time.perf_counter() - t0 < 0.1
 
 
-@pytest.mark.parametrize("T", [*range(1, 601), 2048, 4096])
+@pytest.mark.parametrize("T", [*range(1, 601), 1024, 2048, 4096])
 def test_pgl2_sweep_matches_cell_scan(T):
-    # no tracked primes: the arithmetic-progression sweep; a tracked prime:
-    # the cell scan
-    sweep = scan_pgl2_adjoint(T)
-    assert not sweep.joint
-    assert np.array_equal(sweep.height_counts, scan_pgl2_adjoint(T, (2,)).height_counts)
+    hc, joint = cell_scan(T)
+    for primes in ((), (2, 3, 5, 7)):
+        scan = scan_pgl2_adjoint(T, primes)
+        assert np.array_equal(scan.height_counts, hc)
+        assert sorted(scan.joint) == list(primes)
+        for p in primes:
+            assert scan.joint[p].shape == joint[p].shape
+            assert np.array_equal(scan.joint[p], joint[p])
+
+
+@pytest.mark.parametrize("T", [1, 2, 17, 100, 257, 1000])
+def test_pgl2_sweep_matches_cell_scan_wide_radius(T):
+    # a wider radius adds joint rows for larger |det| only, on both sides
+    radius = 2 * math.isqrt(T)
+    hc, joint = cell_scan(T, radius=radius)
+    scan = scan_pgl2_adjoint(T, (2, 3, 5, 7), radius=radius)
+    assert np.array_equal(scan.height_counts, hc)
+    for p in (2, 3, 5, 7):
+        assert scan.joint[p].shape == joint[p].shape
+        assert np.array_equal(scan.joint[p], joint[p])
 
 
 def test_pgl2_sweep_sized_by_threshold_not_radius():
@@ -379,18 +525,27 @@ def test_pgl2_sweep_2_16_digest():
 
 
 def test_pgl2_cells_visited_reduced_domain():
-    B = math.isqrt(2048)
-    scan = scan_pgl2_adjoint(2048, (2, 3), threads=2)
-    assert scan.cells_visited == sum((x + 1) ** 3 for x in range(1, B + 1))
-    assert scan.cells_visited <= (2 * B + 1) ** 4 / 16
+    # with tracked primes too, the sweep visits the triples (x, y, z) in
+    # [0, x]^2 whose least height max(x^2, 2xy) is below T
+    T = 2048
+    n = sum(
+        1
+        for x in range(1, math.isqrt(T - 1) + 1)
+        for y in range(x + 1)
+        for z in range(x + 1)
+        if max(x * x, 2 * x * y) < T
+    )
+    assert scan_pgl2_adjoint(T, (2, 3), threads=2).cells_visited == n
 
 
 def test_pgl2_int32_range_guard_fails_fast():
-    # 2B^2 >= 2^31: heights and |det| would overflow int32; the guard trips
-    # before the work guard and before anything is allocated
+    # heights up to 2T are int32 in the sweep, Cartan rows included: past
+    # 2^30 a primed scan is refused at once, whatever the work limit
+    t0 = time.perf_counter()
     with pytest.raises(EnumerationError, match="int32") as info:
-        scan_pgl2_adjoint(2**20, (2,), radius=2**15, work_limit=10**40)
+        scan_pgl2_adjoint(2**30 + 1, (2,), work_limit=10**40)
     assert not isinstance(info.value, ResourceGuardError)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_pgl2_rejects_tracked_primes_below_2():
