@@ -32,6 +32,7 @@ import argparse
 import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -100,6 +101,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if any(t < 1 for t in self.grid):
+            raise ConfigError("grid points must be >= 1")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ConfigError("grid must be strictly increasing")
 
@@ -317,7 +320,9 @@ def _parse_target(target: str):
 
 
 def _spectrum_digest(spectrum) -> str:
-    body = "\n".join(f"{h},{c}" for h, c in sorted(spectrum.counts.items()))
+    # lines "h,c" in ascending h, formatted in one call
+    items = sorted(spectrum.counts.items())
+    body = "\n".join(["%d,%d"] * len(items)) % tuple(itertools.chain.from_iterable(items))
     return hashlib.sha256(body.encode()).hexdigest()
 
 

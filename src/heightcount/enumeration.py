@@ -53,23 +53,30 @@ one:
 
 * Cartan rows.  Per tracked prime p the same pieces are counted by
   k = v_p(det).  Along a piece det = A t + c is linear in its free entry
-  t (w, or y for the slope-2z pieces), so either v_p(c) < v_p(A) and every
-  t has k = v_p(c), or det has a p-adic root t* and
-  k = v_p(A) + v_p(t - t*): the t with p^j | det form one residue class
-  modulo p^(j - v_p(A)).  Constant and slope-2z pieces count these classes
-  in closed form for all j at once, up to the first modulus p^emax >= x,
-  past which a piece holds at most one candidate t, whose k is read off
-  |det|.  A slope-x piece adds its whole run to the row of its least k
-  (through a difference array per x, as above) and moves the members of
-  the root's class modulo p to their own k one by one.  Row 0 is the
-  total less the other rows.  Content inverts with a twist, since
+  t, so either v_p(c) < v_p(A) and every t has k = v_p(c), or det has a
+  p-adic root t* and k = v_p(A) + v_p(t - t*): the t with p^j | det form
+  one residue class modulo p^(j - v_p(A)).  The constant pieces of both
+  signs make one piece t in [-cp, cm] (t = -w under eps = +), as do the
+  slope-2z pieces (t = +-y), and the w = x cells under eps = -, whose
+  det = x^2 + yz is linear in z along a row at height C and in y along a
+  column at height 2xz.  Each row of such pieces at one height counts its
+  classes in closed form, one floor difference per level p^e < P, where
+  P is the first power of p with P >= 2x; a piece then holds at most one
+  t of the class modulo P, the root's representative nearest 0, whose k
+  is read off |det|.  A slope-x piece adds its whole run to the row of
+  its least k (through a difference array per x, as above), its classes
+  modulo p^e for the levels e < e0 to difference arrays of stride p^e,
+  and moves the members of the class modulo p^e0 to their own k one by
+  one, with e0 chosen per group by the length of the runs.  The w = x
+  cells under eps = + are read off |det| one by one.  Row 0 is the total
+  less the other rows.  Content inverts with a twist, since
   v_p(det dg) = 2 v_p(d) + v_p(det g):
   prim_k[h] = sum over d^2 | h of mu(d) all_(k - 2 v_p(d))[h / d^2].
 
 That is under B^3/3 triples for B = isqrt(T - 1) and O(T^(3/2)) work for
-the spectrum, with every array sized by B and T whatever the radius; the
-class members of the slope-x pieces add about 1/p of those pieces' cells
-per tracked prime.
+the spectrum, with every array sized by B and T whatever the radius; a
+tracked prime adds O(log_p x) closed-form levels per piece row and per
+slope-x run, and the class members modulo p^e0 of the slope-x pieces.
 """
 
 from __future__ import annotations
@@ -246,24 +253,23 @@ class PGL2Scan:
     joint: dict[int, np.ndarray]  # p -> shape (kmax+1, threshold)
     cells_visited: int = 0  # work done, not a result: kept out of payloads
 
-    def spectrum(self, T: int | None = None) -> HeightSpectrum:
+    def _below(self, T: int | None) -> int:
         T = self.threshold if T is None else T
+        if T < 1:
+            raise EnumerationError("T must be >= 1")
         if T > self.threshold:
             raise IncompleteSpectrumError(
                 f"scan complete below {self.threshold}, asked for {T}"
             )
-        hc = self.height_counts[:T]
-        return HeightSpectrum(
-            {int(h): int(c) for h, c in enumerate(hc) if c},
-            threshold=T,
-        )
+        return T
+
+    def spectrum(self, T: int | None = None) -> HeightSpectrum:
+        T = self._below(T)
+        hs = np.flatnonzero(self.height_counts[:T])
+        return HeightSpectrum(dict(zip(hs.tolist(), self.height_counts[hs].tolist())), threshold=T)
 
     def histogram(self, p: int, T: int | None = None) -> CartanHistogram:
-        T = self.threshold if T is None else T
-        if T > self.threshold:
-            raise IncompleteSpectrumError(
-                f"scan complete below {self.threshold}, asked for {T}"
-            )
+        T = self._below(T)
         if p not in self.joint:
             raise EnumerationError(f"prime {p} was not tracked in this scan")
         per_k = self.joint[p][:, :T].sum(axis=1)
@@ -287,6 +293,16 @@ def _expand(length: np.ndarray, *per_row: np.ndarray) -> list[np.ndarray]:
     return [v[rowid] for v in per_row] + [k.astype(np.int32)]
 
 
+def _take(a, shape, f):
+    """The entries f of a broadcast to ``shape``, read flat."""
+    a = np.asarray(a)
+    if a.shape == shape:
+        return a.reshape(-1)[f]
+    if a.ndim == 0:
+        return np.full(len(f), a)
+    return np.broadcast_to(a, shape).reshape(-1)[f]
+
+
 def _plateau(X, Y, Z):
     """For cells (x, y, z): the height C = max(x^2, 2xy) of the constant
     pieces, Q = yz = qx + r, and the w in [1, x) at height C: the first cm
@@ -305,108 +321,144 @@ def _plateau(X, Y, Z):
 class _CartanRows:
     """The sweep's Cartan rows at one tracked prime p: three times the
     matrices of every content per (k, height) with k = v_p(det), in
-    ``rows``.  Its last row collects det = 0 and its last column the
-    heights from T on; both are dropped.
+    ``rows``.  Row 0 is left empty (the caller takes it as the total less
+    the others), the row of det = 0 and the rows above K are dropped, and
+    so is the last column, which collects the heights from T on.
 
-    Along a piece det = A t + Bc is linear in the free entry t.  If
-    v_p(Bc) < v_p(A) every t has k = v_p(Bc); otherwise det has a p-adic
+    Along a piece det = A t + c is linear in the free entry t.  If
+    v_p(c) < v_p(A) every t has k = v_p(c); otherwise det has a p-adic
     root t* and k = v_p(A) + v_p(t - t*), so the t with k >= v_p(A) + e
-    form one residue class modulo p^e.  ``interval`` counts these classes
-    per group of x while p^e < x; from p^emax >= x on, beyond the longest
-    piece, a piece holds at most one candidate t, whose k is read off
-    |det|.  ``runs`` takes the slope-x pieces, whose heights vary along t.
+    form one residue class modulo p^e.  ``pieces`` takes a row of pieces
+    at one height and counts the t of each class for the levels p^e < P,
+    P the first power of p with P >= 2x, as floor differences summed
+    along the row.  A piece lies in (-P/2, P/2), so it holds at most one
+    t of the class modulo P, the root's representative nearest 0, whose
+    k is read off |det|.  ``runs`` takes the slope-x pieces, whose
+    heights vary along t: through one difference array of stride p^e per
+    level e below the group's e0, and the members of the root's class
+    modulo p^e0 one by one.  ``cells`` takes single cells.
     """
 
     def __init__(self, p: int, T: int, B: int):
-        self.p = p
+        self.p, self.T = p, T
         # v_p(n) for |det| <= 2x^2 in the sweep's domain, up to K
         self.vtab = _val_table(p, 2 * B * B).astype(np.int8)
         K = int(self.vtab.max())
-        self.vtab[0] = K + 1  # det = 0: the dropped row
-        P = p
-        while P < B:
-            P *= p
-        # residues modulo P <= 2B^2 and their products: int32 while P^2 fits
-        dt = np.int32 if P * P < 2**31 else np.int64
-        self.pw = p ** np.arange(K + 1, dtype=dt)
-        self.inv = np.zeros(B + 1, dtype=dt)  # of the p-free part of a, mod P
+        self.vtab[0] = K + 1  # det = 0: a dropped row
+        self.K = K
+        P, E = p, 1
+        while P < 2 * B:
+            P, E = P * p, E + 1
+        # products of a piece's c <= 2B^2 with residues modulo P
+        self.dt = np.int32 if 2 * B * B * P < 2**31 else np.int64
+        self.pw = p ** np.arange(K + 2, dtype=np.int64)
+        self.inv = np.zeros(B + 1, dtype=np.int64)  # of the p-free part of a, mod P
         for a in range(1, B + 1):
             self.inv[a] = pow(a // p ** int(self.vtab[a]), -1, P)
-        self.rows = np.zeros((K + 2, T + 1), dtype=np.int64)
+        self.ninv = (P - self.inv) % P
+        # rows k = v_p(A) + e for e < E stay below nk
+        self.nk = max(K + 2, int(self.vtab[1 : B + 1].max(initial=0)) + E + 1)
+        self.rows = np.zeros((self.nk, T + 1), dtype=np.int64)
         self.flat = self.rows.reshape(-1)
+        self.krow = np.arange(self.nk, dtype=np.int64) * (T + 1)
 
     def start_group(self, gx: np.ndarray) -> None:
-        """Set up the group of x = gx: the classes modulo p^e for e < emax,
-        and the difference array of the slope-x pieces' whole runs, with
-        rows (k, r) for k = 1..v_p(x) and r = 0..x-1 per x and the columns
-        q - x of the sweep's layout."""
+        """Set up the group of x = gx: the levels p^e < P of its pieces,
+        the difference array of the slope-x pieces' whole runs, with rows
+        (k, r) for k = 1..v_p(x) and r = 0..x-1 per x and the columns q - x
+        of the sweep's layout, and one array of the same columns and rows
+        (x, r) per level e < e0 of their classes."""
         p, xb = self.p, int(gx[-1])
-        emax = 1
-        while p**emax < xb:
-            emax += 1
-        self.emax, self.P = emax, p**emax
-        self.xa = int(gx[0])
+        E, P = 1, p
+        while P < 2 * xb:
+            E, P = E + 1, P * p
+        # in a group of one x the slope-x classes modulo p^e go to level
+        # arrays while p^e <= x / 16; past that, and in groups of many short
+        # x, moving the members one by one costs less
+        e0 = 1
+        while gx[0] == xb and 16 * p**e0 <= xb and e0 < E:
+            e0 += 1
+        self.E, self.P, self.e0 = E, P, e0
+        self.xa, self.xb = int(gx[0]), xb
         self.vx = self.vtab[gx]
         self.ncol = xb + 2
         size = gx.astype(np.int64) * self.vx * self.ncol
         self.first = np.cumsum(size) - size
         self.lay = np.zeros(int(size.sum()), dtype=np.int64)
+        self.rfirst = (np.cumsum(gx) - gx).astype(np.int64)
+        nr = int(gx.sum())
+        self.levels = []
+        for e in range(1, e0):
+            s = p**e
+            self.levels.append(np.zeros((nr, -(-(xb - 1 + s) // s) * s), dtype=np.int64))
 
-    def _add(self, k, h, w) -> None:
-        """Add w matrices at (k, h), broadcast together; heights from T on
-        go to a last column that is dropped."""
-        T = self.rows.shape[1] - 1
-        idx = k.astype(np.int64) * (T + 1) + np.minimum(h, T)
-        idx, w = np.broadcast_arrays(idx, w)
-        # flat int64 operands take numpy's fast path
-        np.add.at(self.flat, idx.ravel(), w.astype(np.int64).ravel())
+    def cells(self, det, hidx, w) -> None:
+        """Single cells of |det| det at the column hidx = min(height, T), w
+        matrices each (k = 0 needs no entry)."""
+        k = self.vtab[det].reshape(-1)
+        f = np.flatnonzero(k)
+        idx = k[f] * self.krow[1] + _take(hidx, det.shape, f)
+        np.add.at(self.flat, idx, _take(w, det.shape, f).astype(np.int64))
 
-    def cells(self, det, h, w) -> None:
-        """Single cells of |det| det at height h, w matrices each."""
-        self._add(self.vtab[det], h, w)
+    def _mod(self, a, P):
+        return a & (P - 1) if self.p == 2 else a - a // P * P
 
-    def _root(self, v, A, Bc, mod):
-        """t* modulo ``mod`` (a power of p up to P) for det = A t + Bc with
-        v = v_p(A), where v_p(Bc) >= v."""
-        return (-Bc // self.pw[v] % mod) * (self.inv[A] % mod) % mod
+    def pieces(self, A, c, lo, hi, hidx, w) -> None:
+        """Pieces of det = A t + c over t in [lo, hi] (empty if hi = lo - 1),
+        w matrices per t, one row of pieces per height.  A > 0, hidx =
+        min(height, T) and w (or one w for all) hold one value per row;
+        c >= 0, lo and hi are 2-d of one shape, one column per piece."""
+        p, P, E, vtab = self.p, self.P, self.E, self.vtab
+        R, n = c.shape
+        v = vtab[A]
+        w = np.asarray(w, dtype=np.int64)
+        idx, cnt = [], []
+        if v.any():
+            # p^v does not divide c: no root, every t has k = v_p(c)
+            pv = self.pw[v].astype(c.dtype)
+            pv = pv[0] if (v == v[0]).all() else pv[:, None]
+            c_ = c // pv
+            low = c_ * pv != c
+            f = np.flatnonzero(low)
+            i = f // n
+            idx.append(vtab[c.reshape(-1)[f]] * self.krow[1] + hidx[i])
+            cnt.append((hi - lo + 1).reshape(-1)[f] * _take(w, (R,), i))
+            hi = hi - (hi - lo + 1) * low
+        else:
+            c_ = c
+        half = P // 2
+        m = c_.astype(self.dt) * (self.ninv[A] % P).astype(self.dt)[:, None] + half
+        rs = (self._mod(m, P) - half).astype(c.dtype)  # t* mod P, nearest 0
+        def rowsum(a, dt=None):
+            # a reduction along an axis of length 1 costs more than a copy
+            return a[:, 0] if n == 1 else a.sum(axis=1, dtype=dt)
 
-    def interval(self, A, Bc, h, plus, minus) -> None:
-        """Two pieces (lo, hi, w) at heights h: the t in [lo, hi] of
-        det = A t + Bc for ``plus`` and of det = A t - Bc for ``minus``,
-        w matrices each.  A > 0 and h are columns, one value per row; Bc
-        and the pieces' arrays are 2-d."""
-        R = np.shape(h)[0]
-        A = np.broadcast_to(A, (R, 1))
-        v, u = self.vtab[A], self.vtab[np.abs(Bc)]
-        low = u < v  # no root: every t has k = v_p(Bc)
-        P = self.P
-        root = self._root(v, A, Bc, P)
-        # ge[e]: the t with k >= v + e for e = 0..emax, weighted and summed
-        # over the row (at most one t per piece for e = emax)
-        ge = np.zeros((self.emax + 1, R), dtype=np.int64)
-        for sign, (lo, hi, w) in ((1, plus), (-1, minus)):
-            if sign < 0:
-                root = np.where(root, P - root, 0)
-            lo, hi, w = (np.broadcast_to(a, Bc.shape).astype(np.int32) for a in (lo, hi, w))
-            hi = np.maximum(hi, lo - 1)
-            n = hi - lo + 1
-            tc = root + P * (root < lo)  # the first t >= lo in the class mod P
-            hit = (tc <= hi) & ~low
-            wl = w * ~low
-            ge[0] += (n * wl).sum(axis=1)
-            r = (root % (P // self.p)).astype(np.int32)
-            a, b = hi - r, lo - 1 - r
-            for e in range(1, self.emax):
-                s = self.p**e  # a scalar divisor: numpy's fast path
-                ge[e] += ((a // s - b // s) * wl).sum(axis=1)
-            ge[-1] += (hit * wl).sum(axis=1)
-            # one entry per t: a rootless piece all at k = v_p(Bc), or the
-            # candidate at its own k
-            tc = np.minimum(tc, np.maximum(hi, lo))
-            kc = np.where(low, u, self.vtab[np.abs(A * tc + sign * Bc)])
-            self._add(kc, h, w * np.where(low, n, hit))
-        k = v[:, 0] + np.arange(self.emax)[:, None]
-        self._add(k, h[:, 0], ge[:-1] - ge[1:])
+        # ge[e]: the t with k >= v + e, summed over the row
+        ge = np.empty((E + 1, R), dtype=np.int64)
+        ge[0] = rowsum(hi - lo + 1)
+        if E > 1:
+            a, b = hi - rs, lo - 1 - rs
+            # |a|, |b| <= P/2 + 2x; int16 halves the traffic of each level
+            if half + 2 * self.xb < 2**15:
+                a, b = a.astype(np.int16), b.astype(np.int16)
+            for e in range(1, E):
+                s = p**e  # a scalar divisor: numpy's fast path
+                # a row sums n counts of at most 2x/s + 1 each
+                dt = np.int16 if n * (2 * self.xb // s + 2) < 2**15 else np.int32
+                ge[e] = rowsum(a // s - b // s, dt)
+        hit = (rs >= lo) & (rs <= hi)
+        ge[E] = rowsum(hit)
+        ge = (ge[:-1] - ge[1:]) * w
+        nz = ge != 0
+        idx.append(((self.krow[v] + hidx) + self.krow[:E, None])[nz])
+        cnt.append(ge[nz])
+        # the candidates, each at its own k
+        f = np.flatnonzero(hit)
+        i = f // n
+        det = A[i].astype(np.int64) * rs.reshape(-1)[f] + c.reshape(-1)[f]
+        idx.append(vtab[np.abs(det)] * self.krow[1] + hidx[i])
+        cnt.append(_take(w, (R,), i))
+        np.add.at(self.flat, np.concatenate([a.ravel() for a in idx]), np.concatenate([a.ravel() for a in cnt]))
 
     def runs(self, X, Q, lo, hi, run, r, q) -> None:
         """The eps = + slope-x pieces where ``run``: w in [lo, hi] at
@@ -414,37 +466,76 @@ class _CartanRows:
 
         A run has k >= min(v_p(Q), v_p(x)) throughout, and k exactly that
         off the class of the root modulo p.  Whole runs go to the rows of
-        that k (for k >= 1); the class members are moved from there to
-        their own k one by one."""
-        sel = np.nonzero(run)
-        X, Q, lo, hi, r, q = (np.broadcast_to(a, run.shape)[sel].astype(np.int64) for a in (X, Q, lo, hi, r, q))
-        v, u = self.vtab[X], self.vtab[Q]
-        k = np.minimum(u, v)
-        whole = k >= 1
-        cell = self.first[X - self.xa] + ((k - 1) * X + r) * self.ncol + q - X
-        np.add.at(self.lay, (cell + lo)[whole], 1)
-        np.subtract.at(self.lay, (cell + hi + 1)[whole], 1)
-        # the class members w = w1, w1 + p, ... of runs with a root
-        p = self.p
-        rt = self._root(v, X, -Q, p)
-        w1 = lo + (rt - lo) % p
-        m = np.where(u >= v, np.maximum((hi - w1) // p + 1, 0), 0)
-        X, Q, v, w, j = _expand(m, X, Q, v, w1)
-        w += p * j
-        h = X * w + Q
-        self._add(np.stack([v, self.vtab[X * w - Q]]), h, np.array([[-48], [48]]))
+        that k (for k >= 1); the classes modulo p^e of the runs with a root
+        go to the level arrays for e < e0, and the members of the class
+        modulo p^e0 move from the row of k = v_p(x) + e0 - 1 to their own k
+        one by one."""
+        f = np.flatnonzero(run)
+        if np.ndim(X):
+            X = _take(X, run.shape, f)
+        Q, lo, hi, r, q = (_take(a, run.shape, f) for a in (Q, lo, hi, r, q))
+        v = self.vtab[X]
+        if v.any():
+            X, v = np.broadcast_arrays(X, v, Q)[:2]
+            u = self.vtab[Q]
+            k = np.minimum(u, v)
+            whole = np.flatnonzero(k)
+            cell = self.first[X[whole] - self.xa] + ((k[whole] - 1) * X[whole] + r[whole]) * self.ncol + (q - X)[whole]
+            np.add.at(self.lay, cell + lo[whole], 1)
+            np.subtract.at(self.lay, cell + hi[whole] + 1, 1)
+            f = np.flatnonzero(u >= v)
+            X, Q, lo, hi, r, q, v = (a[f] for a in (X, Q, lo, hi, r, q, v))
+            Q_ = Q // self.pw[v].astype(Q.dtype)
+        else:
+            Q_ = Q
+        p, e0 = self.p, self.e0
+        P0 = p**e0
+        dt = self.dt
+        rt = self._mod(self._mod(Q_, P0).astype(dt) * (self.inv[X] % P0).astype(dt), P0)  # w* mod p^e0
+        if self.levels:
+            row = self.rfirst[X - self.xa] + r
+            for e, L in enumerate(self.levels, 1):
+                s = p**e
+                w1 = lo + self._mod(rt - lo, s)
+                pos = row * L.shape[1] + q - X + w1
+                np.add.at(L.reshape(-1), pos, 1)
+                np.subtract.at(L.reshape(-1), pos + s * ((hi - w1) // s + 1), 1)
+        w1 = lo + self._mod(rt - lo, P0)
+        m = (hi - w1) // P0 + 1
+        i = np.repeat(np.arange(len(m)), m)
+        w = w1[i] + P0 * (np.arange(len(i)) - np.repeat(np.cumsum(m) - m, m))
+        Xi, Qi = (X[i] if np.ndim(X) else X), Q[i]
+        h = Xi * w + Qi  # below T
+        k = self.vtab[Xi * w - Qi] * self.krow[1]
+        moved = _take(v, Q.shape, i) + (e0 - 1)
+        f = np.flatnonzero(moved)
+        idx = np.concatenate([k + h, moved[f] * self.krow[1] + h[f]])
+        np.add.at(self.flat, idx, np.repeat([48, -48], [len(k), len(f)]))
 
     def end_group(self, gx: np.ndarray, T: int) -> None:
-        """Add the group's whole runs, 48 matrices per cell."""
+        """Add the group's whole runs and level arrays, 48 matrices per
+        cell: the classes modulo p^e leave the row of k = v_p(x) + e - 1
+        for the row of k = v_p(x) + e."""
+        xs, firsts, vs = gx.tolist(), self.first.tolist(), self.vx.tolist()
         if self.lay.size:
             lay = self.lay.reshape(-1, self.ncol).cumsum(axis=1).ravel()
-            for x, start, v in zip(gx.tolist(), self.first.tolist(), self.vx.tolist()):
+            for x, start, v in zip(xs, firsts, vs):
                 if not v:
                     continue
                 n = min(T - x * x, x * (x + 1))
                 rows = lay[start : start + v * x * self.ncol].reshape(v, x, self.ncol)
                 span = rows[:, :, : x + 1].transpose(0, 2, 1).reshape(v, -1)  # heights x^2 + j
                 self.rows[1 : v + 1, x * x : x * x + n] += 48 * span[:, :n]
+        for e, L in enumerate(self.levels, 1):
+            s = self.p**e
+            nr, nc = L.shape
+            cov = 48 * L.reshape(nr, nc // s, s).cumsum(axis=1).reshape(nr, nc)
+            for x, row, v in zip(xs, self.rfirst.tolist(), vs):
+                n = min(T - x * x, x * (x + 1))
+                span = cov[row : row + x, : x + 1].T.ravel()[:n]  # heights x^2 + j
+                self.rows[v + e, x * x : x * x + n] += span
+                if v + e > 1:
+                    self.rows[v + e - 1, x * x : x * x + n] -= span
 
 
 def _sweep_group(T: int, gx: np.ndarray, gy: np.ndarray, all3: np.ndarray, cartan=()) -> None:
@@ -470,14 +561,15 @@ def _sweep_group(T: int, gx: np.ndarray, gy: np.ndarray, all3: np.ndarray, carta
     ny = np.minimum(gx - 1, gy)
     rx, ry = _expand(ny, gx)
     ry += 1
-    z = np.arange(1, xb, dtype=np.int32)[None, :]
+    zs = np.arange(1, xb, dtype=np.int32)[None, :]
     step = max(1, _SWEEP_BLOCK // max(1, xb - 1))
     for a in range(0, rx.size, step):
         Y = ry[a : a + step, None]
         if xa == xb:
-            X, ok = xa, True
-        else:  # rows of several x share the columns z < xb
+            X, ok, z = xa, True, zs
+        else:  # rows of several x share the columns z below their largest x
             X = rx[a : a + step, None]
+            z = zs[:, : int(X[-1, 0]) - 1]
             ok = z < X
         C, Q, q, r, cm, cp, det0 = _plateau(X, Y, z)
         # at height C: eps = - on [1, cm], eps = + on [1, cp] less det = 0,
@@ -497,19 +589,33 @@ def _sweep_group(T: int, gx: np.ndarray, gy: np.ndarray, all3: np.ndarray, carta
         cell = first[X - xa] + r * ncol + q - X
         starts.append(np.where(run, cell + lo, sink).ravel())
         ends.append(np.where(run, cell + hi + 1, sink).ravel())
-        for cr in cartan:
-            # eps = -: det = xw + Q; eps = +: |det| = |xw - Q|
-            cr.interval(X, Q, C, (1, cm, 48 * ok), (0, cp, 48 * ok))
-            # w = x under eps = + and eps = -
-            cr.cells(X * X - Q, Hxp, 24 * ok)
-            cr.cells(X * X + Q, np.maximum(C, 2 * X * z), 24 * ok)
-            cr.runs(X, Q, lo, hi, run, r, q)
+        if cartan:
+            # the constant pieces of both signs: det = xt + Q for t in
+            # [-cp, cm], t = -w under eps = +
+            A = np.full(len(C), X) if xa == xb else X[:, 0]
+            hrow = np.minimum(C[:, 0], T).astype(np.int64)
+            he = cm if xa == xb else np.where(ok, cm, -cp - 1)
+            # w = x under eps = +
+            single = (X * X - Q, np.minimum(Hxp, T).astype(np.int64))
+            for cr in cartan:
+                cr.pieces(A, Q, -cp, he, hrow, 48)
+                cr.cells(*single, 24 * ok)
+                cr.runs(X, Q, lo, hi, run, r, q)
     # w = x, eps = -: max(C, 2xz) is C for z <= max(x // 2, y), else 2xz
     # (reached by the rows y < z when 2z > x)
-    weighted.append((rx * np.maximum(rx, 2 * ry) - base, 24 * np.minimum(rx - 1, np.maximum(rx // 2, ry))))
+    zc = np.minimum(rx - 1, np.maximum(rx // 2, ry))
+    weighted.append((rx * np.maximum(rx, 2 * ry) - base, 24 * zc))
     cx, cn, k = _expand(np.maximum(gx - 1 - gx // 2, 0), gx, ny)
     cz = cx // 2 + 1 + k
-    weighted.append((2 * cx * cz - base, 24 * np.minimum(cn, cz - 1)))
+    cy = np.minimum(cn, cz - 1)
+    weighted.append((2 * cx * cz - base, 24 * cy))
+    # the Cartan rows' pieces with one piece per height: (A, c, lo, hi,
+    # height, w) for det = A t + c over t in [lo, hi]
+    rowpieces = []
+    if cartan:
+        # det = x^2 + yz, linear in z along a row and in y along a column
+        rowpieces.append((ry, rx * rx, 1, zc, rx * np.maximum(rx, 2 * ry), 24))
+        rowpieces.append((cz, cx * cx, 1, cy, 2 * cx * cz, 24))
 
     # the surface: y or z is 0 or x (no slope-x piece there)
     top = gx[gy == gx]
@@ -533,11 +639,16 @@ def _sweep_group(T: int, gx: np.ndarray, gy: np.ndarray, all3: np.ndarray, carta
         (Hxm - base, wx),
         (np.maximum(Hxm, X * X + Q) - base, wx * (both & ~(ey & ez))),
     ]
-    for cr in cartan:
-        X2, Q2, C2 = X[:, None], Q[:, None], C[:, None]
-        cr.interval(X2, Q2, C2, (1, cm[:, None], wm[:, None]), (0, cp[:, None], (wm * both)[:, None]))
-        cr.cells(X * X + Q, Hxm, wx)
-        cr.cells(X * X - Q, np.maximum(Hxm, X * X + Q), wx * (both & ~(ey & ez)))
+    if cartan:
+        # one piece per cell: t in [-cp, cm] as above, or [1, cm] if Q = 0
+        rowpieces.append((X, Q, np.where(both, -cp, 1), cm, C, wm))
+        single = [
+            (X * X + Q, np.minimum(Hxm, T).astype(np.int64), wx),
+            (X * X - Q, np.minimum(np.maximum(Hxm, X * X + Q), T).astype(np.int64), wx * (both & ~(ey & ez))),
+        ]
+        for cr in cartan:
+            for det, hidx, wt in single:
+                cr.cells(det, hidx, wt)
 
     # slope-2z pieces, dense over (x, z, w) with x^2 < 2zw < T: eps = -
     # from the rows y = 0..k1, eps = + from y = 1..k2
@@ -551,10 +662,17 @@ def _sweep_group(T: int, gx: np.ndarray, gy: np.ndarray, all3: np.ndarray, carta
     k1 = (zw - 1) // X
     k2 = np.minimum(k1, (2 * Z - X) * W // Z)
     weighted.append((2 * zw - base, (1 + k1 + k2) * np.where(Z == X, 24, 48)))
-    for cr in cartan:
-        # rows y of det = yz + xw (eps = -) and yz - xw (eps = +, up to sign)
-        Z2, XW, H2, wz = Z[:, None], (X * W)[:, None], 2 * zw[:, None], np.where(Z == X, 24, 48)[:, None]
-        cr.interval(Z2, XW, H2, (0, k1[:, None], wz), (1, k2[:, None], wz))
+    if cartan:
+        # rows y of det = yz + xw (eps = -) and yz - xw (eps = +, up to
+        # sign): det = zt + xw for t in [-k2, k1], t = -y under eps = +
+        rowpieces.append((Z, X * W, -k2, k1, 2 * zw, np.where(Z == X, 24, 48)))
+        A, c, lo, hi, h, w = (
+            np.concatenate([np.full(len(a[0]), a[i]) if np.ndim(a[i]) == 0 else a[i] for a in rowpieces])
+            for i in range(6)
+        )
+        c, lo, hi, h = c[:, None], lo[:, None], hi[:, None], np.minimum(h, T).astype(np.int64)
+        for cr in cartan:
+            cr.pieces(A, c, lo, hi, h, w)
 
     h = np.minimum(np.concatenate([np.ravel(h) for h, _ in weighted]), L)
     w = np.concatenate([np.ravel(w) for _, w in weighted])
@@ -602,7 +720,7 @@ def _sweep_pgl2(T: int, primes, work_limit: int) -> tuple[np.ndarray, dict, int]
     counts = _thirds(all3)
     rows = {p: counts[None] for p in primes}
     for cr in cartan:
-        exact = _thirds(cr.rows[1:-1, :T])
+        exact = _thirds(cr.rows[1 : cr.K + 1, :T])
         rows[cr.p] = np.vstack([counts - exact.sum(axis=0), exact])
     # every content d: all[h] = sum over d^2 | h of prim[h / d^2], and
     # v_p(det dg) = 2 v_p(d) + v_p(det g)

@@ -1,6 +1,5 @@
 import itertools
 import math
-import os
 
 import pytest
 
@@ -23,14 +22,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"ACCEPTANCE {number:2d} {status} {name}: {detail}")
 
 
-def _threads() -> int:
-    return min(2, os.cpu_count() or 1)
-
-
 @pytest.fixture(scope="session")
 def pgl2_scan_14():
     """The one big scan: adjoint heights < 2^14 with Cartan data at 2 and 3."""
-    return scan_pgl2_adjoint(2**14, primes_tracked=(2, 3), threads=_threads())
+    return scan_pgl2_adjoint(2**14, primes_tracked=(2, 3))
 
 
 @pytest.fixture(scope="session")

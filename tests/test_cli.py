@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from heightcount import __version__
@@ -115,13 +116,26 @@ def test_count_is_cached_and_byte_identical(tmp_path):
     assert first[0].payload["total"] == scan_pgl2_adjoint(16).spectrum().total
 
 
-def test_count_payload_independent_of_threads(tmp_path):
+def test_threads_accepted_and_select_nothing(tmp_path, capsys):
+    # every scan runs on one thread: threads= and --threads are kept for
+    # older callers and change no count
+    from heightcount.enumeration import scan_pgl2_adjoint
+
+    one = scan_pgl2_adjoint(512, primes_tracked=(2, 3))
+    three = scan_pgl2_adjoint(512, primes_tracked=(2, 3), threads=3)
+    assert np.array_equal(one.height_counts, three.height_counts)
+    for p in (2, 3):
+        assert np.array_equal(one.joint[p], three.joint[p])
     params = {"target": "pgl2-adjoint", "primes": "2,3"}
-    os.makedirs(tmp_path / "a")
-    os.makedirs(tmp_path / "b")
-    r1 = run(make_config(tmp_path / "a", "count", params, grid=[64], threads=1))
-    r2 = run(make_config(tmp_path / "b", "count", params, grid=[64], threads=2))
-    assert r1[0].payload == r2[0].payload
+    payloads = []
+    for threads in (1, 2):
+        os.makedirs(tmp_path / str(threads))
+        (rec,) = run(make_config(tmp_path / str(threads), "count", params, grid=[64], threads=threads))
+        payloads.append(rec.payload)
+        argv = ["--cache", str(tmp_path / f"m{threads}.jsonl"), "--json", "--threads", str(threads)]
+        assert main(argv + ["count", "--target", "pgl2-adjoint", "--grid", "64", "--primes", "2,3"]) == 0
+        payloads.append(json.loads(capsys.readouterr().out)["payload"])
+    assert all(p == payloads[0] for p in payloads)
 
 
 def test_count_product_target(tmp_path):
@@ -591,6 +605,35 @@ def test_main_residue_cutoff_below_2_exit_2(tmp_path, cutoff):
 )
 def test_main_composite_prime_exit_2(tmp_path, argv):
     assert _rejected_without_record(tmp_path, argv)
+
+
+@pytest.mark.parametrize("grid", ["-5,100", "0,10"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--target", "pgl2-adjoint", "--primes", "2"],
+        ["count", "--target", "pgl2-adjoint"],
+        ["count", "--target", "product-pgl2:1,2"],
+        ["count", "--target", "projective:1"],
+        ["equidist", "--primes", "2"],
+    ],
+    ids=["pgl2-primed", "pgl2", "product", "projective", "equidist"],
+)
+def test_main_nonpositive_grid_point_exit_2(tmp_path, argv, grid):
+    # a threshold T < 1 counts nothing; it used to be cached as a slice
+    # [:T] of the top scan (T = -5 held the count below height 95)
+    assert _rejected_without_record(tmp_path, argv + [f"--grid={grid}"])
+
+
+def test_scan_reads_reject_nonpositive_threshold():
+    from heightcount.enumeration import EnumerationError, scan_pgl2_adjoint
+
+    scan = scan_pgl2_adjoint(100, (2,))
+    for T in (0, -5):
+        with pytest.raises(EnumerationError, match=">= 1"):
+            scan.spectrum(T)
+        with pytest.raises(EnumerationError, match=">= 1"):
+            scan.histogram(2, T)
 
 
 def test_main_projective_counts_past_4300_digits(tmp_path, capsys):

@@ -24,6 +24,7 @@ from heightcount.enumeration import (
     _val_table,
 )
 from heightcount.heights import adjoint_rep, global_height, smith_exponents
+from heightcount.zeta import primes_below
 
 
 # --------------------------------------------------------------------------
@@ -375,17 +376,16 @@ def cell_scan(T, primes=(2, 3, 5, 7), radius=None):
 def test_pgl2_scan_matches_signed_entry_oracle(T, primes):
     hc, joint = signed_entry_scan(T)
     for radius in (None, 2 * math.isqrt(T)):
-        for threads in (1, 2, 3):
-            scan = scan_pgl2_adjoint(T, primes, radius=radius, threads=threads)
-            assert np.array_equal(scan.height_counts, hc)
-            assert sorted(scan.joint) == list(primes)
-            for p in primes:
-                rows = joint[p].shape[0]
-                if radius is None:
-                    assert scan.joint[p].shape == joint[p].shape
-                assert np.array_equal(scan.joint[p][:rows], joint[p])
-                # a wider radius adds rows for larger |det| only; they stay empty
-                assert not scan.joint[p][rows:].any()
+        scan = scan_pgl2_adjoint(T, primes, radius=radius)
+        assert np.array_equal(scan.height_counts, hc)
+        assert sorted(scan.joint) == list(primes)
+        for p in primes:
+            rows = joint[p].shape[0]
+            if radius is None:
+                assert scan.joint[p].shape == joint[p].shape
+            assert np.array_equal(scan.joint[p][:rows], joint[p])
+            # a wider radius adds rows for larger |det| only; they stay empty
+            assert not scan.joint[p][rows:].any()
 
 
 def test_pgl2_t2_matches_exhaustive_signs():
@@ -424,17 +424,6 @@ def test_pgl2_completeness_radius_doubling(T):
     base = scan_pgl2_adjoint(T)
     wide = scan_pgl2_adjoint(T, radius=2 * math.isqrt(T))
     assert np.array_equal(base.height_counts, wide.height_counts)
-
-
-def test_pgl2_thread_partition_determinism():
-    one = scan_pgl2_adjoint(512, primes_tracked=(2, 3), threads=1)
-    two = scan_pgl2_adjoint(512, primes_tracked=(2, 3), threads=2)
-    three = scan_pgl2_adjoint(512, primes_tracked=(2, 3), threads=3)
-    assert np.array_equal(one.height_counts, two.height_counts)
-    assert np.array_equal(one.height_counts, three.height_counts)
-    for p in (2, 3):
-        assert np.array_equal(one.joint[p], two.joint[p])
-        assert np.array_equal(one.joint[p], three.joint[p])
 
 
 def test_pgl2_resource_guard():
@@ -478,6 +467,21 @@ def test_pgl2_sweep_matches_cell_scan(T):
         for p in primes:
             assert scan.joint[p].shape == joint[p].shape
             assert np.array_equal(scan.joint[p], joint[p])
+
+
+@pytest.mark.parametrize("T", [257, 600, 2048])
+def test_pgl2_sweep_matches_cell_scan_large_primes(T):
+    # primes above isqrt(T - 1) up to the largest p <= 2B^2: every group
+    # has P = p, so the classes mod P hold at most one candidate each
+    B = math.isqrt(T - 1)
+    primes = (29, 31, int(primes_below(2 * B * B + 1)[-1]))
+    hc, joint = cell_scan(T, primes)
+    scan = scan_pgl2_adjoint(T, primes)
+    assert np.array_equal(scan.height_counts, hc)
+    for p in primes:
+        assert scan.joint[p].shape == joint[p].shape
+        assert np.array_equal(scan.joint[p], joint[p])
+    assert joint[29][1:].any() and joint[31][1:].any()
 
 
 @pytest.mark.parametrize("T", [1, 2, 17, 100, 257, 1000])
@@ -524,6 +528,16 @@ def test_pgl2_sweep_2_16_digest():
     assert _digest(hc) == "938c28479a4cb9c2c520c650c79a81f80191944ca85fe8b5e40325dd6bec2e8d"
 
 
+def test_pgl2_scan_2_16_joint_digests():
+    # recorded from the sweep whose slope-x pieces moved their class
+    # members mod p one by one, before the Cartan rows were reworked
+    scan = scan_pgl2_adjoint(2**16, (2, 3))
+    assert _digest(scan.height_counts) == "938c28479a4cb9c2c520c650c79a81f80191944ca85fe8b5e40325dd6bec2e8d"
+    assert scan.joint[2].shape == (18, 2**16) and scan.joint[3].shape == (11, 2**16)
+    assert _digest(scan.joint[2]) == "acd20d58e0950c829eefe50de49cc95abb0c913cd1d513a56a1a743ab19614a8"
+    assert _digest(scan.joint[3]) == "f018c8bd1c38dd522da0a2db28bb552085b95666bdc51ee54c4d44c2f234f40d"
+
+
 def test_pgl2_cells_visited_reduced_domain():
     # with tracked primes too, the sweep visits the triples (x, y, z) in
     # [0, x]^2 whose least height max(x^2, 2xy) is below T
@@ -535,7 +549,7 @@ def test_pgl2_cells_visited_reduced_domain():
         for z in range(x + 1)
         if max(x * x, 2 * x * y) < T
     )
-    assert scan_pgl2_adjoint(T, (2, 3), threads=2).cells_visited == n
+    assert scan_pgl2_adjoint(T, (2, 3)).cells_visited == n
 
 
 def test_pgl2_int32_range_guard_fails_fast():
