@@ -426,6 +426,15 @@ def test_pgl2_completeness_radius_doubling(T):
     assert np.array_equal(base.height_counts, wide.height_counts)
 
 
+def test_pgl2_thread_partition_determinism():
+    # threads= is accepted and selects nothing: the scan runs on one thread
+    one = scan_pgl2_adjoint(512, primes_tracked=(2, 3), threads=1)
+    three = scan_pgl2_adjoint(512, primes_tracked=(2, 3), threads=3)
+    assert np.array_equal(one.height_counts, three.height_counts)
+    for p in (2, 3):
+        assert np.array_equal(one.joint[p], three.joint[p])
+
+
 def test_pgl2_resource_guard():
     with pytest.raises(ResourceGuardError):
         scan_pgl2_adjoint(10**8)
