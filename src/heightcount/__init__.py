@@ -19,7 +19,6 @@ from .rootdata import (
 )
 from .heights import (
     CartanCoordinates,
-    HeightValue,
     MeasureConvention,
     Place,
     PrimitiveMatrix,
@@ -28,7 +27,6 @@ from .heights import (
     global_height,
     local_height,
     primitive_vector,
-    primitivize,
     smith_exponents,
 )
 from .enumeration import (
@@ -61,5 +59,4 @@ from .mixing import (
     xi_global,
     xi_padic,
     xi_real,
-    xi_tilde_global,
 )

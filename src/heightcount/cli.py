@@ -357,7 +357,7 @@ def payload_invariants(params: dict) -> dict:
     }
 
 
-def payload_count(params: dict, T: int, scan_cache: dict) -> dict:
+def payload_count(params: dict, T: int, top: int, scan_cache: dict) -> dict:
     kind, extra = _parse_target(params["target"])
     primes = tuple(int(p) for p in params.get("primes", "").split(",") if p)
     # checked for every target: projective counts ignore the primes, but the
@@ -366,11 +366,11 @@ def payload_count(params: dict, T: int, scan_cache: dict) -> dict:
     if composite:
         raise ConfigError(f"tracked primes must be prime, got {composite[0]}")
     if kind == "projective":
-        spectrum = _top_spectrum(scan_cache, params).below(T)
+        spectrum = _top_spectrum(scan_cache, params, top).below(T)
         hists = {}
         total = spectrum.total
     elif kind == "pgl2":
-        scan = _shared_pgl2_scan(scan_cache, params, primes)
+        scan = _shared_pgl2_scan(scan_cache, top, primes)
         spectrum = scan.spectrum(T)
         total = spectrum.total
         hists = {
@@ -378,11 +378,10 @@ def payload_count(params: dict, T: int, scan_cache: dict) -> dict:
             for p in primes
         }
     else:
+        # a product has no histograms: its tracked primes need no scan
         w1, w2 = extra
-        scan = _shared_pgl2_scan(scan_cache, params, primes)
-        factor = scan.spectrum()
-        total = convolve_counts(factor, factor, w1, w2, T)
-        spectrum = factor
+        spectrum = _top_spectrum(scan_cache, params, top)
+        total = convolve_counts(spectrum, spectrum, w1, w2, T)
         hists = {}
     return {
         "query": {"target": params["target"], "primes": list(primes)},
@@ -393,27 +392,26 @@ def payload_count(params: dict, T: int, scan_cache: dict) -> dict:
     }
 
 
-def _shared_pgl2_scan(scan_cache: dict, params: dict, primes):
-    key = (params.get("_scan_T"), primes)
+def _shared_pgl2_scan(scan_cache: dict, top: int, primes):
+    key = (top, primes)
     if key not in scan_cache:
-        scan_cache[key] = scan_pgl2_adjoint(int(params["_scan_T"]), primes)
+        scan_cache[key] = scan_pgl2_adjoint(top, primes)
     return scan_cache[key]
 
 
-def _top_spectrum(scan_cache: dict, params: dict):
-    """The count target's spectrum below ``_scan_T``, the top of the grid,
-    from a count or scan this run already made if there is one."""
+def _top_spectrum(scan_cache: dict, params: dict, top: int):
+    """The count target's spectrum below ``top``, the top of the grid, from
+    a count or scan this run already made if there is one."""
     kind, extra = _parse_target(params["target"])
-    top = params.get("_scan_T")
     if kind == "projective":
         key = (top, "projective", extra)
         if key not in scan_cache:
-            scan_cache[key] = count_projective(extra, int(top))
+            scan_cache[key] = count_projective(extra, top)
         return scan_cache[key]
     primes = tuple(int(p) for p in params.get("primes", "").split(",") if p)
     scan = scan_cache.get((top, primes))
     if scan is None:
-        scan = _shared_pgl2_scan(scan_cache, params, ())
+        scan = _shared_pgl2_scan(scan_cache, top, ())
     return scan.spectrum()
 
 
@@ -488,9 +486,9 @@ def payload_mixing(params: dict) -> dict:
     }
 
 
-def payload_equidist(params: dict, T: int, scan_cache: dict) -> dict:
+def payload_equidist(params: dict, T: int, top: int, scan_cache: dict) -> dict:
     primes = tuple(int(p) for p in params.get("primes", "2,3").split(","))
-    scan = _shared_pgl2_scan(scan_cache, params, primes)
+    scan = _shared_pgl2_scan(scan_cache, top, primes)
     rows = {}
     for p in primes:
         hist = scan.histogram(p, T)
@@ -521,31 +519,28 @@ def run(config: ExperimentConfig, scan_cache: dict | None = None) -> list[Result
     rng = random.Random(config.seed)
     records: list[ResultRecord] = []
     scan_cache = {} if scan_cache is None else scan_cache
-    params = dict(config.parameters)
-
-    if config.subcommand in ("count", "equidist"):
-        # one scan or count at the top of the grid serves every threshold
-        params["_scan_T"] = _top_of_grid(config)
+    params = config.parameters
+    # one scan or count at the top of the grid serves every threshold
+    top = max(config.grid, default=0)
 
     grid = config.grid or [0]
     for T in grid:
         call_params = dict(params)
         if config.subcommand in ("count", "equidist"):
             call_params["T"] = str(T)
-        call_params.pop("_scan_T", None)
         digest = params_digest(config.subcommand, call_params)
         cached = cache.lookup(digest)
         if cached is not None:
             if config.audit_rate > 0 and rng.randrange(config.audit_rate) == 0:
-                fresh = _compute(config, params, T, scan_cache)
-                if _comparable(fresh) != _comparable(cached.payload):
+                fresh = _compute(config, params, T, top, scan_cache)
+                if json.dumps(fresh, sort_keys=True) != json.dumps(cached.payload, sort_keys=True):
                     raise InvariantViolation(
                         f"cache audit mismatch for digest {digest[:12]}"
                     )
             records.append(cached)
             continue
         t0 = time.monotonic()
-        payload = _compute(config, params, T, scan_cache)
+        payload = _compute(config, params, T, top, scan_cache)
         rec = ResultRecord(
             params_digest=digest,
             payload=payload,
@@ -558,17 +553,12 @@ def run(config: ExperimentConfig, scan_cache: dict | None = None) -> list[Result
     return records
 
 
-def _comparable(payload: dict) -> str:
-    slim = {k: v for k, v in payload.items() if not k.startswith("wall_time")}
-    return json.dumps(slim, sort_keys=True)
-
-
-def _compute(config: ExperimentConfig, params: dict, T: int, scan_cache: dict) -> dict:
+def _compute(config: ExperimentConfig, params: dict, T: int, top: int, scan_cache: dict) -> dict:
     sub = config.subcommand
     if sub == "invariants":
         return payload_invariants(params)
     if sub == "count":
-        return payload_count(params, T, scan_cache)
+        return payload_count(params, T, top, scan_cache)
     if sub == "zeta":
         return payload_zeta(params)
     if sub == "fit":
@@ -577,7 +567,7 @@ def _compute(config: ExperimentConfig, params: dict, T: int, scan_cache: dict) -
     if sub == "mixing-probe":
         return payload_mixing(params)
     if sub == "equidist":
-        return payload_equidist(params, T, scan_cache)
+        return payload_equidist(params, T, top, scan_cache)
     raise ConfigError(f"unknown subcommand {sub!r}")
 
 
@@ -586,11 +576,11 @@ def _grid_counts_for_fit(config, params, scan_cache) -> list[tuple[int, int]]:
     if not grid:
         raise ConfigError("fit needs --count-grid T1,T2,...")
     kind, extra = _parse_target(params.get("target", "pgl2-adjoint"))
-    scan_params = dict(params, _scan_T=str(max(grid)))
+    top = max(grid)
     if kind == "projective":
-        spectrum = _top_spectrum(scan_cache, scan_params)
+        spectrum = _top_spectrum(scan_cache, params, top)
         return [(t, spectrum.count_below(t)) for t in grid]
-    scan = _shared_pgl2_scan(scan_cache, scan_params, ())
+    scan = _shared_pgl2_scan(scan_cache, top, ())
     if kind == "pgl2":
         return [(t, scan.spectrum(t).total) for t in grid]
     w1, w2 = extra
@@ -715,18 +705,13 @@ def _print_table(payload: dict, indent: str = "") -> None:
             print(f"{indent}{k}: {v}")
 
 
-def _top_of_grid(config: ExperimentConfig) -> str:
-    return str(max(config.grid)) if config.grid else config.parameters.get("T", "0")
-
-
 def _write_csv(path: str, config: ExperimentConfig, scan_cache: dict) -> None:
     """Full (height, count) spectrum of the count query at the top of the
     grid, if any; it scans again only when ``run`` found every grid point
     in the results cache."""
     if config.subcommand != "count":
         return
-    params = dict(config.parameters, _scan_T=_top_of_grid(config))
-    spectrum = _top_spectrum(scan_cache, params)
+    spectrum = _top_spectrum(scan_cache, config.parameters, max(config.grid))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("height,count\n")
         for h in sorted(spectrum.counts):
@@ -748,7 +733,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.csv:
                 _write_csv(args.csv, config, scan_cache)
         return EXIT_OK
-    except (ConfigError, RootDataError, ZetaError, MixingError, ValueError) as exc:
+    except (ConfigError, RootDataError, ZetaError, MixingError, ValueError, OSError) as exc:
         if isinstance(exc, ResourceGuardError):
             print(f"resource guard: {exc}", file=sys.stderr)
             return EXIT_GUARD

@@ -49,7 +49,8 @@ one:
   constant piece, which is left out; w = 0 and w = x are single cells.
 * Content.  Matrices of every content are counted, and since
   Ad(dg) = d^2 Ad(g), the primitive ones follow by Moebius inversion:
-  prim[h] = sum over d^2 | h of mu(d) all[h / d^2].
+  prim[h] = sum over d^2 | h of mu(d) all[h / d^2], done in place as one
+  factor (1 - S_(q^2)) per prime q, with (S_m f)[h] = f[h / m].
 
 * Cartan rows.  Per tracked prime p the same pieces are counted by
   k = v_p(det).  Along a piece det = A t + c is linear in its free entry
@@ -154,19 +155,6 @@ class HeightSpectrum:
             )
         return HeightSpectrum({h: c for h, c in self.counts.items() if h < T}, threshold=T)
 
-    def merge(self, other: "HeightSpectrum") -> "HeightSpectrum":
-        merged = dict(self.counts)
-        for h, c in other.counts.items():
-            merged[h] = merged.get(h, 0) + c
-        return HeightSpectrum(merged, min(self.threshold, other.threshold))
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Heights (int64) and counts, ascending; the counts are Python ints
-        in an object array, so their sums stay exact past 2^63."""
-        hs = np.array(sorted(self.counts), dtype=np.int64)
-        cs = np.array([self.counts[int(h)] for h in hs], dtype=object)
-        return hs, cs
-
 
 @dataclass
 class CartanHistogram:
@@ -193,15 +181,6 @@ def cartan_statistics(hist: CartanHistogram) -> dict[int, Fraction]:
 # P^n(Q)
 
 
-def _mobius(n: int) -> np.ndarray:
-    """mu(d) for 1 <= d < n as int8 (entry 0 is unused)."""
-    mu = np.ones(n, dtype=np.int8)
-    for p in primes_below(n):
-        mu[::p] *= -1
-        mu[:: p * p] = 0
-    return mu
-
-
 def count_projective(n: int, T: int) -> HeightSpectrum:
     """Exact height spectrum of P^n(Q) points with height < T.
 
@@ -210,8 +189,9 @@ def count_projective(n: int, T: int) -> HeightSpectrum:
     the box [-(m-1), m-1]^(n+1).  Such a vector is d times a primitive one
     of height m/d, for its content d | m, so f is the Dirichlet convolution
     of the primitive counts with 1, and Moebius inversion gives the points
-    of height h as sum_{d | h} mu(d) f(h/d).  The arithmetic is in Python
-    integers, exact for every n.
+    of height h as sum_{d | h} mu(d) f(h/d): the product over primes q of
+    (1 - S_q), with (S_q f)[h] = f[h/q], applied to f in place.  The
+    arithmetic is in Python integers, exact for every n.
     """
     if n < 1:
         raise EnumerationError("projective space needs n >= 1")
@@ -223,11 +203,10 @@ def count_projective(n: int, T: int) -> HeightSpectrum:
         )
     m = np.arange(T, dtype=object)
     f = ((2 * m + 1) ** (n + 1) - (2 * m - 1) ** (n + 1)) // 2
-    mu = _mobius(T)
-    out = np.zeros(T, dtype=object)
-    for d in np.flatnonzero(mu[1:]) + 1:
-        out[d::d] += int(mu[d]) * f[1 : (T - 1) // d + 1]
-    return HeightSpectrum({h: int(c) for h, c in enumerate(out) if h}, threshold=T)
+    for q in primes_below(T):
+        # numpy reads overlapping operands as if copied first
+        f[q::q] -= f[1 : (T - 1) // q + 1]
+    return HeightSpectrum({h: int(c) for h, c in enumerate(f) if h}, threshold=T)
 
 
 # --------------------------------------------------------------------------
@@ -691,10 +670,11 @@ def _sweep_group(T: int, gx: np.ndarray, gy: np.ndarray, all3: np.ndarray, carta
         cr.end_group(gx, T)
 
 
-def _sweep_pgl2(T: int, primes, work_limit: int) -> tuple[np.ndarray, dict, int]:
+def _sweep_pgl2(T: int, primes, radius: int, work_limit: int) -> tuple[np.ndarray, dict, int]:
     """Per height, the primitive canonical-sign matrices with det != 0 and
-    adjoint height < T; per tracked prime their (k, height) counts; and the
-    (x, y, z) triples visited."""
+    adjoint height < T; per tracked prime their (k, height) counts, with
+    rows k = 0..kmax for every |det| <= 2 radius^2; and the (x, y, z)
+    triples visited."""
     if T > _SWEEP_MAX_T:
         raise EnumerationError(f"T = {T}: heights up to 2T overflow int32")
     B = math.isqrt(T - 1)
@@ -718,23 +698,28 @@ def _sweep_pgl2(T: int, primes, work_limit: int) -> tuple[np.ndarray, dict, int]
             _sweep_group(T, xs[lo : i + 1], ymax[lo : i + 1], all3, cartan)
             lo, acc = i + 1, 0
     counts = _thirds(all3)
-    rows = {p: counts[None] for p in primes}
+    joint = {}
+    for p in primes:
+        kmax, pk = 0, p
+        while pk <= 2 * radius * radius:
+            kmax, pk = kmax + 1, pk * p
+        joint[p] = np.zeros((kmax + 1, T), dtype=np.int64)
+        joint[p][0] = counts
     for cr in cartan:
-        exact = _thirds(cr.rows[1 : cr.K + 1, :T])
-        rows[cr.p] = np.vstack([counts - exact.sum(axis=0), exact])
-    # every content d: all[h] = sum over d^2 | h of prim[h / d^2], and
-    # v_p(det dg) = 2 v_p(d) + v_p(det g)
-    mu = _mobius(B + 1)
-    prim = counts.copy()
-    joint = {p: r.copy() for p, r in rows.items()}
-    for d in np.flatnonzero(mu[2:]) + 2:
-        d2, m = int(d) ** 2, int(mu[d])
-        n = (T - 1) // d2
-        prim[d2::d2] += m * counts[1 : n + 1]
-        for p, r in rows.items():
-            s = 2 if d % p == 0 else 0
-            joint[p][s:, d2::d2] += m * r[: len(r) - s, 1 : n + 1]
-    return prim, joint, triples
+        rows = joint[cr.p]
+        rows[1 : cr.K + 1] = _thirds(cr.rows[1 : cr.K + 1, :T])
+        rows[0] -= rows[1:].sum(axis=0)
+    # prim = product over primes q of (1 - S_(q^2)) applied to all; since
+    # v_p(det dg) = 2 v_p(d) + v_p(det g), at q = p it also moves k up by 2
+    for q in primes_below(B + 1):
+        q2 = q * q
+        n = (T - 1) // q2
+        # numpy reads overlapping operands as if copied first
+        counts[q2::q2] -= counts[1 : n + 1]
+        for p, rows in joint.items():
+            s = 2 if q == p else 0
+            rows[s:, q2::q2] -= rows[: len(rows) - s, 1 : n + 1]
+    return counts, joint, triples
 
 
 def _thirds(a: np.ndarray) -> np.ndarray:
@@ -772,17 +757,7 @@ def scan_pgl2_adjoint(
         raise EnumerationError(
             f"radius {B} cannot cover the ball H < {T}: need at least {math.isqrt(T)}"
         )
-    if B < 1:
-        B = 1
-    hc, rows, triples = _sweep_pgl2(T, primes, work_limit)
-    joint = {}
-    for p, r in rows.items():
-        # rows k = 0..kmax for every |det| <= 2 radius^2
-        kmax, pk = 0, p
-        while pk <= 2 * B * B:
-            kmax, pk = kmax + 1, pk * p
-        joint[p] = np.zeros((kmax + 1, T), dtype=np.int64)
-        joint[p][: len(r)] = r
+    hc, joint, triples = _sweep_pgl2(T, primes, max(B, 1), work_limit)
     return PGL2Scan(threshold=T, height_counts=hc, joint=joint, cells_visited=triples)
 
 
@@ -833,8 +808,9 @@ def convolve_counts(
         raise IncompleteSpectrumError(
             f"first spectrum complete below {s1.threshold}, need heights up to {h1_needed}"
         )
-    hs1, cs1 = s1.as_arrays()
-    cum1 = np.cumsum(cs1)
+    hs1 = np.array(sorted(s1.counts), dtype=np.int64)
+    # Python ints in an object array: the prefix sums stay exact past 2^63
+    cum1 = np.cumsum(np.array([s1.counts[h] for h in hs1.tolist()], dtype=object))
 
     total = 0
     for h2, c2 in s2.counts.items():

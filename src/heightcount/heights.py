@@ -40,23 +40,21 @@ import numpy as np
 # test beyond), so a huge input cannot stall a caller.
 from mpmath.libmp import isprime as _is_prime
 
+# smallest singular value, relative to the largest, of a nonsingular matrix
+_SINGULAR_RTOL = 1e-12
+
 __all__ = [
     "Place",
     "PrimitiveMatrix",
-    "HeightValue",
     "CartanCoordinates",
     "MeasureConvention",
     "HeightError",
-    "primitivize",
     "primitive_vector",
     "local_height",
     "global_height",
     "adjoint_rep",
-    "adjoint_action_matrix",
     "smith_exponents",
     "cartan_radial_real",
-    "parse_matrix",
-    "format_matrix",
 ]
 
 
@@ -88,19 +86,6 @@ class Place:
 
     def __repr__(self):
         return "Place(oo)" if self.p is None else f"Place({self.p})"
-
-
-@dataclass(frozen=True)
-class HeightValue:
-    value: Fraction
-
-    def __post_init__(self):
-        if self.value <= 0:
-            raise HeightError("heights are positive")
-
-    def __str__(self):
-        v = self.value
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
 @dataclass(frozen=True)
@@ -192,14 +177,6 @@ class PrimitiveMatrix:
     def det(self) -> int:
         return _int_det(self.entries)
 
-    def max_entry(self) -> int:
-        return max(abs(x) for row in self.entries for x in row)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "PrimitiveMatrix":
-        prim, _ = primitivize(rows)
-        return prim
-
 
 def _int_det(rows) -> int:
     n = len(rows)
@@ -212,18 +189,6 @@ def _int_det(rows) -> int:
         minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
         det += (-1) ** j * rows[0][j] * _int_det(minor)
     return det
-
-
-def primitivize(M) -> tuple[PrimitiveMatrix, int]:
-    """Canonicalize an integer matrix: (PrimitiveMatrix, content)."""
-    rows = [list(map(int, row)) for row in M]
-    flat = [x for row in rows for x in row]
-    prim, content = primitive_vector(flat)
-    n = len(rows)
-    it = iter(prim)
-    mat = tuple(tuple(next(it) for _ in row) for row in rows)
-    pm = PrimitiveMatrix(entries=mat)
-    return pm, content
 
 
 # --------------------------------------------------------------------------
@@ -261,7 +226,7 @@ def local_height(M, v: Place) -> Fraction:
     return max(abs(x) for row in rows for x in row)
 
 
-def global_height(M) -> HeightValue:
+def global_height(M) -> int:
     """Product over all places of the local max-norms.
 
     Equals the largest |entry| of the content-1 integer representative, so
@@ -275,7 +240,7 @@ def global_height(M) -> HeightValue:
             den = den * x.denominator // math.gcd(den, x.denominator)
     ints = [int(x * den) for row in rows for x in row]
     prim, _ = primitive_vector(ints)
-    return HeightValue(Fraction(max(abs(x) for x in prim)))
+    return max(abs(x) for x in prim)
 
 
 # --------------------------------------------------------------------------
@@ -306,12 +271,6 @@ def adjoint_rep(g, n: int = 2) -> tuple[tuple[tuple[int, ...], ...], int]:
         (-a * c, b * d, a * d + b * c),
     )
     return M, det
-
-
-def adjoint_action_matrix(g) -> list[list[Fraction]]:
-    """The adjoint action Ad(g) = (g X adj g)/det as an exact rational matrix."""
-    M, det = adjoint_rep(g)
-    return [[Fraction(x, det) for x in row] for row in M]
 
 
 # --------------------------------------------------------------------------
@@ -375,30 +334,7 @@ def smith_exponents(M, p: int) -> CartanCoordinates:
     return CartanCoordinates(place=Place.prime(p), exponents=tuple(sorted(exps)))
 
 
-def parse_matrix(text: str) -> tuple[tuple[int, ...], ...]:
-    """Row-major bracketed integer lists, e.g. "[[1,2],[3,4]]"."""
-    import json
-
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise HeightError(f"cannot parse matrix {text!r}: {exc}") from None
-    if not isinstance(data, list) or not data:
-        raise HeightError("expected a bracketed list of rows")
-    if all(isinstance(x, int) for x in data):
-        return (tuple(data),)  # a single row vector
-    if not all(isinstance(row, list) and all(isinstance(x, int) for x in row) for row in data):
-        raise HeightError("matrix entries must be integers")
-    return tuple(tuple(row) for row in data)
-
-
-def format_matrix(M) -> str:
-    if isinstance(M, PrimitiveMatrix):
-        M = M.entries
-    return "[" + ",".join("[" + ",".join(str(int(x)) for x in row) + "]" for row in M) + "]"
-
-
-def cartan_radial_real(M, singular_rtol: float = 1e-12) -> CartanCoordinates:
+def cartan_radial_real(M) -> CartanCoordinates:
     """Singular values of a rational matrix, sorted descending."""
     if isinstance(M, PrimitiveMatrix):
         M = M.entries
@@ -406,7 +342,7 @@ def cartan_radial_real(M, singular_rtol: float = 1e-12) -> CartanCoordinates:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise HeightError("expected a square matrix")
     sv = np.linalg.svd(arr, compute_uv=False)
-    if sv[-1] <= singular_rtol * sv[0]:
+    if sv[-1] <= _SINGULAR_RTOL * sv[0]:
         raise HeightError("matrix is numerically singular")
     return CartanCoordinates(
         place=Place.infinity(), singular_values=tuple(float(s) for s in sv)

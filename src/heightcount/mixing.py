@@ -30,12 +30,11 @@ verifier reports empirical constants for the upper half, for height
 domination xi <= C H^{-1/m}, and for L^p integrability trends.
 
 PGL_2 has rank one at every place, so the local kernel is a single rank-one
-factor and the half-power variant is a global square root.  For PGL_n the
-same construction would run over a maximal strongly orthogonal set of
-positive roots of the A_{n-1} system, {e_i - e_{n+1-i} : i <= n/2}, with
-one rank-one factor per member; only the PGL_2 kernels are evaluated
-numerically here, and higher-rank growth predictions stay symbolic (the
-rootdata module).
+factor.  For PGL_n the same construction would run over a maximal strongly
+orthogonal set of positive roots of the A_{n-1} system, {e_i - e_{n+1-i} :
+i <= n/2}, with one rank-one factor per member; only the PGL_2 kernels are
+evaluated numerically here, and higher-rank growth predictions stay
+symbolic (the rootdata module).
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ __all__ = [
     "xi_real",
     "eta",
     "xi_global",
-    "xi_tilde_global",
     "evaluate_point",
     "verify_bounds",
     "lp_probe",
@@ -217,14 +215,11 @@ def xi_global(g: PrimitiveMatrix) -> float:
     return math.prod(ev.xi for ev in evaluate_point(g))
 
 
-def xi_tilde_global(g: PrimitiveMatrix) -> float:
-    """The half-power variant; PGL_2 over Q has rank one at every place, so
-    every local factor is taken to the power 1/2."""
-    return math.sqrt(xi_global(g))
-
-
 # --------------------------------------------------------------------------
 # bound verification
+
+
+_LP_REPORT_EVERY = 20
 
 
 @dataclass
@@ -236,16 +231,15 @@ class MixingReport:
     c_eps: float  # smallest C with xi_G <= C prod eta^(-1/2+eps)
     c_height: float  # smallest C with xi_G <= C H^(-1/m)
     lp_partial_sums: dict[float, list[float]]
-    lp_prime: int
 
 
 def lp_probe(
     p: int,
     exponents: Sequence[float] = (2.0, 2.5, 3.0),
     terms: int = 200,
-    report_every: int = 20,
 ) -> dict[float, list[float]]:
-    """Partial sums of sum_k vol(U a_k U) xi_p(k)^e at one prime.
+    """Partial sums of sum_k vol(U a_k U) xi_p(k)^e at one prime, after
+    every _LP_REPORT_EVERY terms.
 
     Divergent trend expected at e = 2 (the measure grows like the kernel
     decays), geometric convergence at e = 3.
@@ -258,7 +252,7 @@ def lp_probe(
         snaps = []
         for k in range(terms + 1):
             acc += float(cell_volume(p, k)) * xi_padic(p, k) ** e
-            if k % report_every == 0 and k > 0:
+            if k % _LP_REPORT_EVERY == 0 and k > 0:
                 snaps.append(acc)
         out[float(e)] = snaps
     return out
@@ -316,5 +310,4 @@ def verify_bounds(
         c_eps=c_eps,
         c_height=c_height,
         lp_partial_sums=lp_probe(lp_prime, lp_exponents, lp_terms),
-        lp_prime=lp_prime,
     )

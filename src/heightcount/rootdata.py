@@ -112,10 +112,6 @@ class RootSystem:
             sub = [[Fraction(C[i - 1][j - 1]) for j in idx] for i in idx]
             _solve_exact(sub, [Fraction(0)] * len(idx))  # raises if singular
 
-    @property
-    def factor_blocks(self) -> tuple[frozenset[int], ...]:
-        return self.factor_partition
-
 
 @dataclass(frozen=True)
 class GaloisOrbits:

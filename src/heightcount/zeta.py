@@ -54,6 +54,11 @@ __all__ = [
 ]
 
 GROWTH_EXPONENT = Fraction(2)  # pole location of the PGL_2 adjoint zeta
+_CELL_KMAX = 12  # a local factor tabulates the cell volumes of k <= 12
+_ORACLE_GUARD = 10**6  # largest p^k whose cells cell_volume_oracle counts
+_RESIDUE_DPS = 50  # working decimal digits of the residue extrapolation
+# smallest fit grid: its points, and its largest over smallest threshold
+_FIT_MIN_POINTS, _FIT_MIN_SPAN = 5, 10.0
 
 
 class ZetaError(ValueError):
@@ -124,7 +129,7 @@ class LocalFactor:
         return self._poly(self.numerator, t) / den
 
 
-def local_factor_pgl2_adjoint(p: int, kmax: int = 12) -> LocalFactor:
+def local_factor_pgl2_adjoint(p: int) -> LocalFactor:
     """The exact local factor (1 + t)/(1 - q t) at q = p, with cell volumes."""
     if not _is_prime(p):
         raise ZetaError(f"{p} is not prime")
@@ -132,11 +137,11 @@ def local_factor_pgl2_adjoint(p: int, kmax: int = 12) -> LocalFactor:
         q=p,
         numerator=(1, 1),
         denominator=(1, -p),
-        cell_volumes=tuple(cell_volume(p, k) for k in range(kmax + 1)),
+        cell_volumes=tuple(cell_volume(p, k) for k in range(_CELL_KMAX + 1)),
     )
 
 
-def cell_volume_oracle(p: int, k: int, guard: int = 10**6) -> Fraction:
+def cell_volume_oracle(p: int, k: int) -> Fraction:
     """Cell volume by counting lattice classes, independent of the formula.
 
     Cosets of U inside U a_k U correspond to index-p^k sublattices of Z^2
@@ -149,8 +154,8 @@ def cell_volume_oracle(p: int, k: int, guard: int = 10**6) -> Fraction:
         raise ZetaError("cell level must be >= 0")
     if k == 0:
         return Fraction(1)
-    if p**k > guard:
-        raise ZetaError(f"p^k = {p ** k} exceeds the enumeration guard {guard}")
+    if p**k > _ORACLE_GUARD:
+        raise ZetaError(f"p^k = {p ** k} exceeds the enumeration guard {_ORACLE_GUARD}")
     count = 0
     for a in range(k + 1):
         d1, d2 = p**a, p ** (k - a)
@@ -237,7 +242,6 @@ def residue_estimate(
     P: int,
     samples: Sequence[float],
     convention: MeasureConvention | None = None,
-    dps: int = 50,
     include_archimedean: bool = True,
 ) -> ResidueEstimate:
     """Residue at s = 2 of the (regularized) global height zeta function.
@@ -256,7 +260,7 @@ def residue_estimate(
         raise ZetaError("samples must strictly decrease toward 2")
     if P < 2:
         raise ZetaError(f"residue cutoff must be >= 2, got {P}")
-    with mp.workdps(dps):
+    with mp.workdps(_RESIDUE_DPS):
         hs = [mp.mpf(s) - 2 for s in ss]
         vs = []
         for s, finite in zip(ss, _finite_parts(P, ss)):
@@ -287,7 +291,6 @@ def residue_estimate(
 @dataclass
 class FitResult:
     a_hat: float  # free-exponent diagnostic fit
-    b_input: int
     c_hat: float
     d_hat: float  # first-order log correction: c (1 + d / log T)
     residuals: list[float]
@@ -298,8 +301,6 @@ def tauberian_fit(
     grid: Sequence[tuple[int, int]],
     a: Fraction | float,
     b: int,
-    min_points: int = 5,
-    min_span: float = 10.0,
 ) -> FitResult:
     """Least-squares fit of N(T) = c T^a (log T)^(b-1) (1 + d / log T).
 
@@ -309,11 +310,11 @@ def tauberian_fit(
     pts = [(int(t), int(n)) for t, n in grid]
     if any(t2 <= t1 for (t1, _), (t2, _) in zip(pts, pts[1:])):
         raise ZetaError("grid thresholds must be strictly increasing")
-    if len(pts) < min_points:
-        raise ZetaError(f"degenerate grid: need at least {min_points} points")
+    if len(pts) < _FIT_MIN_POINTS:
+        raise ZetaError(f"degenerate grid: need at least {_FIT_MIN_POINTS} points")
     ts = np.array([t for t, _ in pts], dtype=float)
     ns = np.array([n for _, n in pts], dtype=float)
-    if ts[-1] / ts[0] < min_span:
+    if ts[-1] / ts[0] < _FIT_MIN_SPAN:
         raise ZetaError("degenerate grid: thresholds span too small a range")
     if np.any(ns <= 0):
         raise ZetaError("counts must be positive to fit")
@@ -333,7 +334,6 @@ def tauberian_fit(
     sl, *_ = np.linalg.lstsq(slope_design, z, rcond=None)
     return FitResult(
         a_hat=float(sl[0]),
-        b_input=int(b),
         c_hat=c_hat,
         d_hat=e / c_hat,
         residuals=[float(r) for r in resid],

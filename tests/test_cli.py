@@ -346,6 +346,46 @@ def test_cold_projective_count_csv_counts_once(tmp_path, monkeypatch):
     assert csv_path.read_text() == _spectrum_csv(count_projective(1, 12))
 
 
+def test_product_count_with_primes_runs_a_plain_scan(tmp_path, monkeypatch, capsys):
+    # a product payload has no histograms, so its tracked primes need no
+    # Cartan rows
+    calls = _count_calls(monkeypatch, "scan_pgl2_adjoint")
+    payloads = {}
+    for primes in ([], ["--primes", "2,3"]):
+        argv = ["--cache", str(tmp_path / f"c{len(primes)}.jsonl"), "--json",
+                "count", "--target", "product-pgl2:1,2", "--grid", "16,64"] + primes
+        assert main(argv) == 0
+        payloads[bool(primes)] = [json.loads(line)["payload"] for line in capsys.readouterr().out.splitlines()]
+    assert [args[1] for args in calls] == [(), ()]
+    for plain, primed in zip(payloads[False], payloads[True]):
+        assert primed["query"]["primes"] == [2, 3]
+        assert primed["total"] == plain["total"]
+        assert primed["spectrum_digest"] == plain["spectrum_digest"]
+
+
+def _exit_2_in_one_line(argv, capsys):
+    code = main(argv)
+    err = capsys.readouterr().err
+    return code == 2 and len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_main_missing_config_file_exit_2(tmp_path, capsys):
+    argv = ["--cache", str(tmp_path / "c.jsonl"), "--config", str(tmp_path / "missing.cfg"),
+            "invariants", "--weight", "1,1"]
+    assert _exit_2_in_one_line(argv, capsys)
+
+
+def test_main_cache_directory_exit_2(tmp_path, capsys):
+    argv = ["--cache", str(tmp_path), "invariants", "--type", "A2"]
+    assert _exit_2_in_one_line(argv, capsys)
+
+
+def test_main_csv_in_missing_directory_exit_2(tmp_path, capsys):
+    argv = ["--cache", str(tmp_path / "c.jsonl"), "--csv", str(tmp_path / "missing" / "s.csv"),
+            "count", "--target", "projective:1", "--grid", "12"]
+    assert _exit_2_in_one_line(argv, capsys)
+
+
 def test_main_config_file(tmp_path, capsys):
     cfg_file = tmp_path / "rs.cfg"
     cfg_file.write_text("cartan=[[2,-1],[-1,2]]\nfactors=[[1,2]]\ngalois=[[1],[2]]\n")

@@ -116,6 +116,28 @@ def test_projective_schanuel_constant(n):
         assert abs(s.count_below(t) / t ** (n + 1) / const - 1) < 1e-3
 
 
+@pytest.mark.parametrize(
+    "n,T,total,digest",
+    [
+        (2, 2**17, 7493083501091905,
+         "2adccba3ab9328661f5158ed03ba64aaea61053292600ee270c05fd7aad0e3e8"),
+        (5, 2**15, 38935255757773049208529177120,
+         "d041713662777c0e44f9318048327a5f61b48c4e63802e6b42bec93a0e6f5e5f"),
+        # counts past 2^63
+        (20, 2**16, 146760325914080420784751159171224123355375663913667792099670492919921441143072136540859101688601639496008321,
+         "1b59cf28e655f1faa875bfcfd1f7127e7fcafad66d8a15633b4ed6cc1fa6f62d"),
+    ],
+)
+def test_projective_spectrum_digests(n, T, total, digest):
+    # recorded from the sum over squarefree d of mu(d) f(h/d), before the
+    # inversion ran one prime at a time
+    from heightcount.cli import _spectrum_digest
+
+    s = count_projective(n, T)
+    assert s.total == total
+    assert _spectrum_digest(s) == digest
+
+
 def test_projective_pinned_examples():
     assert count_projective(1, 2).total == 4
     assert count_projective(2, 2).total == 13
@@ -163,7 +185,7 @@ def brute_pgl2(T, bound, primes=()):
         if math.gcd(math.gcd(abs(a), abs(b)), math.gcd(abs(c), abs(d))) != 1:
             continue
         M, _ = adjoint_rep([[a, b], [c, d]])
-        h = int(global_height(M).value)
+        h = global_height(M)
         if h >= T:
             continue
         counts[h] = counts.get(h, 0) + 1
@@ -595,8 +617,6 @@ def test_spectrum_validation_and_merge():
     assert s.count_below(2) == 4
     with pytest.raises(IncompleteSpectrumError):
         s.count_below(6)
-    t = s.merge(HeightSpectrum({3: 1}, threshold=7))
-    assert t.counts == {1: 4, 3: 3} and t.threshold == 5
     with pytest.raises(EnumerationError):
         HeightSpectrum({0: 1}, threshold=2)
 

@@ -20,7 +20,6 @@ from heightcount.mixing import (
     xi_padic,
     xi_padic_squared,
     xi_real,
-    xi_tilde_global,
 )
 
 
@@ -183,18 +182,6 @@ def test_xi_global_decreasing_along_diagonal_family():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-def test_xi_tilde_is_square_root_everywhere():
-    pts = [
-        identity(),
-        PrimitiveMatrix(((2, 0), (0, 1))),
-        PrimitiveMatrix(((3, 1), (1, 2))),
-        PrimitiveMatrix(((5, 7), (2, 3))),
-        PrimitiveMatrix(((0, 1), (1, 0))),
-    ]
-    for g in pts:
-        assert xi_tilde_global(g) == pytest.approx(math.sqrt(xi_global(g)), rel=1e-12)
-
-
 def test_evaluate_point_levels_match_det_valuation():
     g = PrimitiveMatrix(((6, 0), (0, 1)))
     evs = {ev.place.p: ev for ev in evaluate_point(g) if ev.place.is_finite}
@@ -291,7 +278,7 @@ def test_properness_max_xi_decreases_on_height_shells(exhaustive_sample_10):
     shells: dict[int, float] = {}
     for g in exhaustive_sample_10[::7]:  # subsample for speed, deterministic
         M, _ = adjoint_rep(g)
-        h = int(global_height(M).value)
+        h = global_height(M)
         j = h.bit_length() - 1
         x = xi_global(g)
         shells[j] = max(shells.get(j, 0.0), x)
