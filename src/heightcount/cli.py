@@ -304,19 +304,8 @@ class ResultCache:
 
 
 # --------------------------------------------------------------------------
-# subcommand payload builders (pure: params -> payload dict)
-
-
-def _parse_target(target: str):
-    if target.startswith("projective:"):
-        return ("projective", int(target.split(":", 1)[1]))
-    if target == "pgl2-adjoint":
-        return ("pgl2", None)
-    if target.startswith("product-pgl2:"):
-        w = target.split(":", 1)[1]
-        w1, w2 = (int(x) for x in w.split(","))
-        return ("product", (w1, w2))
-    raise ConfigError(f"unknown target {target!r}")
+# subcommand payload builders (pure: params, T, top of the grid, the run's
+# scans -> payload dict)
 
 
 def _spectrum_digest(spectrum) -> str:
@@ -326,19 +315,47 @@ def _spectrum_digest(spectrum) -> str:
     return hashlib.sha256(body.encode()).hexdigest()
 
 
-def payload_invariants(params: dict) -> dict:
+def _count(target: str, T: int, top: int, scans: dict, primes: tuple[int, ...] = ()):
+    """A count target's total below T, the spectrum its payload digests, and
+    for pgl2-adjoint the Cartan histograms below T of ``primes``, from the
+    run's one scan or count at ``top``, the top of its grid, kept in
+    ``scans``."""
+    if target.startswith("projective:"):
+        n = int(target.split(":", 1)[1])
+        if ("projective", n, top) not in scans:
+            scans["projective", n, top] = count_projective(n, top)
+        spectrum = scans["projective", n, top].below(T)
+        return spectrum.total, spectrum, {}
+    if target.startswith("product-pgl2:"):
+        w1, w2 = (int(x) for x in target.split(":", 1)[1].split(","))
+        primes = ()  # a product has no histograms: any scan at top serves
+    elif target != "pgl2-adjoint":
+        raise ConfigError(f"unknown target {target!r}")
+    scan = scans.get(("pgl2", top))
+    if scan is None or not set(primes) <= scan.joint.keys():
+        scan = scans["pgl2", top] = scan_pgl2_adjoint(top, primes)
+    if target == "pgl2-adjoint":
+        spectrum = scan.spectrum(T)
+        return spectrum.total, spectrum, {p: scan.histogram(p, T) for p in primes}
+    spectrum = scan.spectrum()
+    return convolve_counts(spectrum, spectrum, w1, w2, T), spectrum, {}
+
+
+def payload_invariants(params: dict, T: int, top: int, scans: dict) -> dict:
     if "config_text" in params:
         rs, gal = parse_root_system_config(params["config_text"])
-    else:
+    elif params["type"]:
         rs = named_root_system(params["type"])
         gal = (
-            GaloisOrbits(tuple(frozenset(o) for o in json.loads(params["galois"])))
-            if params.get("galois")
+            GaloisOrbits.parse(params["galois"], rs.rank)
+            if params["galois"]
             else GaloisOrbits.trivial(rs.rank)
         )
-    weight = params.get("weight", "adjoint")
+    else:
+        raise ConfigError("invariants needs --type or --config")
+    weight = params["weight"]
     if weight == "adjoint":
-        if "type" not in params:
+        if not params["type"]:
             raise ConfigError("--weight adjoint needs a named --type")
         m = [Fraction(x) for x in adjoint_weight_root_coords(params["type"])]
     else:
@@ -357,67 +374,28 @@ def payload_invariants(params: dict) -> dict:
     }
 
 
-def payload_count(params: dict, T: int, top: int, scan_cache: dict) -> dict:
-    kind, extra = _parse_target(params["target"])
-    primes = tuple(int(p) for p in params.get("primes", "").split(",") if p)
+def payload_count(params: dict, T: int, top: int, scans: dict) -> dict:
+    primes = tuple(int(p) for p in params["primes"].split(",") if p)
     # checked for every target: projective counts ignore the primes, but the
     # query records them
     composite = [p for p in primes if not _is_prime(p)]
     if composite:
         raise ConfigError(f"tracked primes must be prime, got {composite[0]}")
-    if kind == "projective":
-        spectrum = _top_spectrum(scan_cache, params, top).below(T)
-        hists = {}
-        total = spectrum.total
-    elif kind == "pgl2":
-        scan = _shared_pgl2_scan(scan_cache, top, primes)
-        spectrum = scan.spectrum(T)
-        total = spectrum.total
-        hists = {
-            str(p): {str(k): c for k, c in scan.histogram(p, T).freq.items()}
-            for p in primes
-        }
-    else:
-        # a product has no histograms: its tracked primes need no scan
-        w1, w2 = extra
-        spectrum = _top_spectrum(scan_cache, params, top)
-        total = convolve_counts(spectrum, spectrum, w1, w2, T)
-        hists = {}
+    total, spectrum, hists = _count(params["target"], T, top, scans, primes)
     return {
         "query": {"target": params["target"], "primes": list(primes)},
         "T": T,
         "total": total,
         "spectrum_digest": _spectrum_digest(spectrum),
-        "histograms": hists,
+        "histograms": {
+            str(p): {str(k): c for k, c in hist.freq.items()} for p, hist in hists.items()
+        },
     }
 
 
-def _shared_pgl2_scan(scan_cache: dict, top: int, primes):
-    key = (top, primes)
-    if key not in scan_cache:
-        scan_cache[key] = scan_pgl2_adjoint(top, primes)
-    return scan_cache[key]
-
-
-def _top_spectrum(scan_cache: dict, params: dict, top: int):
-    """The count target's spectrum below ``top``, the top of the grid, from
-    a count or scan this run already made if there is one."""
-    kind, extra = _parse_target(params["target"])
-    if kind == "projective":
-        key = (top, "projective", extra)
-        if key not in scan_cache:
-            scan_cache[key] = count_projective(extra, top)
-        return scan_cache[key]
-    primes = tuple(int(p) for p in params.get("primes", "").split(",") if p)
-    scan = scan_cache.get((top, primes))
-    if scan is None:
-        scan = _shared_pgl2_scan(scan_cache, top, ())
-    return scan.spectrum()
-
-
-def payload_zeta(params: dict) -> dict:
-    primes = [int(p) for p in params.get("primes", "2,3,5").split(",")]
-    s_exact = int(params.get("at", "2"))
+def payload_zeta(params: dict, T: int, top: int, scans: dict) -> dict:
+    primes = [int(p) for p in params["primes"].split(",")]
+    s_exact = int(params["at"])
     out = {"factors": []}
     for p in primes:
         lf = local_factor_pgl2_adjoint(p)
@@ -434,8 +412,8 @@ def payload_zeta(params: dict) -> dict:
                 },
             }
         )
-    if params.get("residue"):
-        cutoff = int(params.get("cutoff", "2000"))
+    if params["residue"]:
+        cutoff = int(params["cutoff"])
         samples = [2 + 0.4 / 2**j for j in range(6)]
         est = residue_estimate(cutoff, samples)
         out["residue"] = {
@@ -447,10 +425,12 @@ def payload_zeta(params: dict) -> dict:
     return out
 
 
-def payload_fit(params: dict, grid_counts: list[tuple[int, int]]) -> dict:
-    a = Fraction(params.get("a", "2"))
-    b = int(params.get("b", "1"))
-    fit = tauberian_fit(grid_counts, a, b)
+def payload_fit(params: dict, T: int, top: int, scans: dict) -> dict:
+    grid = [int(x) for x in params["count_grid"].split(",") if x]
+    a = Fraction(params["a"])
+    b = int(params["b"])
+    counts = [(t, _count(params["target"], t, max(grid), scans)[0]) for t in grid]
+    fit = tauberian_fit(counts, a, b)
     return {
         "a": f"{a.numerator}/{a.denominator}",
         "b": b,
@@ -462,12 +442,12 @@ def payload_fit(params: dict, grid_counts: list[tuple[int, int]]) -> dict:
     }
 
 
-def payload_mixing(params: dict) -> dict:
-    p = int(params.get("prime", "2"))
-    kmax = int(params.get("max_exponent", "20"))
-    eps = float(params.get("eps", "0.1"))
-    m = int(params.get("m", "4"))
-    pexp = [float(x) for x in params.get("pexp", "2,2.5,3").split(",")]
+def payload_mixing(params: dict, T: int, top: int, scans: dict) -> dict:
+    p = int(params["prime"])
+    kmax = int(params["max_exponent"])
+    eps = float(params["eps"])
+    m = int(params["m"])
+    pexp = [float(x) for x in params["pexp"].split(",")]
     sample = [
         PrimitiveMatrix(((p**j, 0), (0, 1))) if j else PrimitiveMatrix(((1, 0), (0, 1)))
         for j in range(kmax + 1)
@@ -486,12 +466,11 @@ def payload_mixing(params: dict) -> dict:
     }
 
 
-def payload_equidist(params: dict, T: int, top: int, scan_cache: dict) -> dict:
-    primes = tuple(int(p) for p in params.get("primes", "2,3").split(","))
-    scan = _shared_pgl2_scan(scan_cache, top, primes)
+def payload_equidist(params: dict, T: int, top: int, scans: dict) -> dict:
+    primes = tuple(int(p) for p in params["primes"].split(","))
+    _, _, hists = _count("pgl2-adjoint", T, top, scans, primes)
     rows = {}
-    for p in primes:
-        hist = scan.histogram(p, T)
+    for p, hist in hists.items():
         emp = cartan_statistics(hist)
         model, _tail = model_cell_probabilities(p, max(emp) if emp else 0)
         rows[str(p)] = {
@@ -505,6 +484,39 @@ def payload_equidist(params: dict, T: int, top: int, scan_cache: dict) -> dict:
     return {"T": T, "frequencies": rows}
 
 
+# subcommand -> (payload builder, {option: default}).  A default of None
+# marks a required option and False a switch; "" leaves the option out of
+# the digest unless given.  Every option but --grid, the thresholds, is a
+# digest key, and a subcommand with --grid keys each threshold T too.
+_SUBCOMMANDS = {
+    "invariants": (payload_invariants, {"type": "", "weight": "adjoint", "galois": ""}),
+    "count": (payload_count, {"target": None, "grid": None, "primes": ""}),
+    "zeta": (payload_zeta, {"primes": "2,3,5", "at": "2", "residue": False, "cutoff": "2000"}),
+    "fit": (payload_fit, {"target": "pgl2-adjoint", "count_grid": None, "a": "2", "b": "1"}),
+    "mixing-probe": (
+        payload_mixing,
+        {"prime": "2", "max_exponent": "20", "eps": "0.1", "m": "4", "pexp": "2,2.5,3"},
+    ),
+    "equidist": (payload_equidist, {"grid": None, "primes": "2,3"}),
+}
+
+
+def _keyed(subcommand: str, given: dict) -> dict:
+    """The digested parameters: the options ``given``, else their defaults,
+    as strings ("1" for a set switch) unless empty, and whatever else
+    ``given`` holds (the --config text).  The cutoff shapes only the zeta
+    residue: keying on it without --residue would split one payload."""
+    options = _SUBCOMMANDS[subcommand][1]
+    keyed = {k: v for k, v in given.items() if k not in options}
+    for key, default in options.items():
+        val = given.get(key, default)
+        if key != "grid" and val not in (None, "", False):
+            keyed[key] = "1" if val is True else str(val)
+    if subcommand == "zeta" and "residue" not in keyed:
+        keyed.pop("cutoff", None)
+    return keyed
+
+
 # --------------------------------------------------------------------------
 # the driver
 
@@ -513,26 +525,33 @@ def payload_equidist(params: dict, T: int, top: int, scan_cache: dict) -> dict:
 def run(config: ExperimentConfig, scan_cache: dict | None = None) -> list[ResultRecord]:
     """Execute a subcommand over its grid, cache-aware; returns the records.
 
-    The scans and counts it makes are left in ``scan_cache`` if given.
+    Options left out of ``config.parameters`` take their defaults, so the
+    digests match the command line's.  The scans and counts it makes are
+    left in ``scan_cache`` if given.
     """
+    if config.subcommand not in _SUBCOMMANDS:
+        raise ConfigError(f"unknown subcommand {config.subcommand!r}")
+    build, options = _SUBCOMMANDS[config.subcommand]
+    keyed = _keyed(config.subcommand, config.parameters)
+    for key, default in options.items():
+        if default is None and not (config.grid if key == "grid" else keyed.get(key)):
+            raise ConfigError(f"{config.subcommand} needs --{key.replace('_', '-')}")
+    params = {**options, **keyed}
     cache = ResultCache(config.cache_path, __version__, config.allow_stale)
     rng = random.Random(config.seed)
     records: list[ResultRecord] = []
     scan_cache = {} if scan_cache is None else scan_cache
-    params = config.parameters
     # one scan or count at the top of the grid serves every threshold
     top = max(config.grid, default=0)
 
-    grid = config.grid or [0]
-    for T in grid:
-        call_params = dict(params)
-        if config.subcommand in ("count", "equidist"):
-            call_params["T"] = str(T)
-        digest = params_digest(config.subcommand, call_params)
+    for T in config.grid or [0]:
+        digest = params_digest(
+            config.subcommand, dict(keyed, T=str(T)) if "grid" in options else keyed
+        )
         cached = cache.lookup(digest)
         if cached is not None:
             if config.audit_rate > 0 and rng.randrange(config.audit_rate) == 0:
-                fresh = _compute(config, params, T, top, scan_cache)
+                fresh = build(params, T, top, scan_cache)
                 if json.dumps(fresh, sort_keys=True) != json.dumps(cached.payload, sort_keys=True):
                     raise InvariantViolation(
                         f"cache audit mismatch for digest {digest[:12]}"
@@ -540,7 +559,7 @@ def run(config: ExperimentConfig, scan_cache: dict | None = None) -> list[Result
             records.append(cached)
             continue
         t0 = time.monotonic()
-        payload = _compute(config, params, T, top, scan_cache)
+        payload = build(params, T, top, scan_cache)
         rec = ResultRecord(
             params_digest=digest,
             payload=payload,
@@ -551,41 +570,6 @@ def run(config: ExperimentConfig, scan_cache: dict | None = None) -> list[Result
         cache.append(rec)
         records.append(rec)
     return records
-
-
-def _compute(config: ExperimentConfig, params: dict, T: int, top: int, scan_cache: dict) -> dict:
-    sub = config.subcommand
-    if sub == "invariants":
-        return payload_invariants(params)
-    if sub == "count":
-        return payload_count(params, T, top, scan_cache)
-    if sub == "zeta":
-        return payload_zeta(params)
-    if sub == "fit":
-        counts = _grid_counts_for_fit(config, params, scan_cache)
-        return payload_fit(params, counts)
-    if sub == "mixing-probe":
-        return payload_mixing(params)
-    if sub == "equidist":
-        return payload_equidist(params, T, top, scan_cache)
-    raise ConfigError(f"unknown subcommand {sub!r}")
-
-
-def _grid_counts_for_fit(config, params, scan_cache) -> list[tuple[int, int]]:
-    grid = [int(x) for x in params.get("count_grid", "").split(",") if x]
-    if not grid:
-        raise ConfigError("fit needs --count-grid T1,T2,...")
-    kind, extra = _parse_target(params.get("target", "pgl2-adjoint"))
-    top = max(grid)
-    if kind == "projective":
-        spectrum = _top_spectrum(scan_cache, params, top)
-        return [(t, spectrum.count_below(t)) for t in grid]
-    scan = _shared_pgl2_scan(scan_cache, top, ())
-    if kind == "pgl2":
-        return [(t, scan.spectrum(t).total) for t in grid]
-    w1, w2 = extra
-    factor = scan.spectrum()
-    return [(t, convolve_counts(factor, factor, w1, w2, t)) for t in grid]
 
 
 # --------------------------------------------------------------------------
@@ -613,66 +597,25 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--audit-rate", type=int, default=0)
     sub = ap.add_subparsers(dest="subcommand", required=True)
-
-    p_inv = sub.add_parser("invariants")
-    p_inv.add_argument("--type")
-    p_inv.add_argument("--weight", default="adjoint")
-    p_inv.add_argument("--galois")
-
-    p_count = sub.add_parser("count")
-    p_count.add_argument("--target", required=True)
-    p_count.add_argument("--grid", required=True)
-    p_count.add_argument("--primes", default="")
-
-    p_zeta = sub.add_parser("zeta")
-    p_zeta.add_argument("--primes", default="2,3,5")
-    p_zeta.add_argument("--at", default="2")
-    p_zeta.add_argument("--residue", action="store_true")
-    p_zeta.add_argument("--cutoff", default="2000")
-
-    p_fit = sub.add_parser("fit")
-    p_fit.add_argument("--target", default="pgl2-adjoint")
-    p_fit.add_argument("--count-grid", required=True)
-    p_fit.add_argument("--a", default="2")
-    p_fit.add_argument("--b", default="1")
-
-    p_mix = sub.add_parser("mixing-probe")
-    p_mix.add_argument("--prime", default="2")
-    p_mix.add_argument("--max-exponent", default="20")
-    p_mix.add_argument("--eps", default="0.1")
-    p_mix.add_argument("--m", default="4")
-    p_mix.add_argument("--pexp", default="2,2.5,3")
-
-    p_eq = sub.add_parser("equidist")
-    p_eq.add_argument("--grid", required=True)
-    p_eq.add_argument("--primes", default="2,3")
+    for name, (_, options) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name)
+        for key, default in options.items():
+            flag = "--" + key.replace("_", "-")
+            if default is False:
+                sp.add_argument(flag, action="store_true")
+            else:
+                sp.add_argument(flag, required=default is None, default=default)
     return ap
 
 
-_PARAM_KEYS = {
-    "invariants": ["type", "weight", "galois"],
-    "count": ["target", "primes"],
-    "zeta": ["primes", "at", "residue", "cutoff"],
-    "fit": ["target", "count_grid", "a", "b"],
-    "mixing-probe": ["prime", "max_exponent", "eps", "m", "pexp"],
-    "equidist": ["primes"],
-}
-
-
 def config_from_args(args) -> ExperimentConfig:
-    params: dict[str, str] = {}
+    options = _SUBCOMMANDS[args.subcommand][1]
+    params = {key: getattr(args, key) for key in options if key != "grid"}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             params["config_text"] = fh.read()
-    for key in _PARAM_KEYS[args.subcommand]:
-        val = getattr(args, key, None)
-        if val not in (None, "", False):
-            params[key] = str(val) if not isinstance(val, bool) else "1"
-    if args.subcommand == "zeta" and "residue" not in params:
-        # the cutoff shapes only the residue: keying on it would split one payload
-        params.pop("cutoff", None)
     grid = []
-    if getattr(args, "grid", None):
+    if "grid" in options and args.grid:
         grid = [int(x) for x in args.grid.split(",")]
     return ExperimentConfig(
         subcommand=args.subcommand,
@@ -705,17 +648,16 @@ def _print_table(payload: dict, indent: str = "") -> None:
             print(f"{indent}{k}: {v}")
 
 
-def _write_csv(path: str, config: ExperimentConfig, scan_cache: dict) -> None:
+def _write_csv(fh, config: ExperimentConfig, scan_cache: dict) -> None:
     """Full (height, count) spectrum of the count query at the top of the
-    grid, if any; it scans again only when ``run`` found every grid point
-    in the results cache."""
-    if config.subcommand != "count":
-        return
-    spectrum = _top_spectrum(scan_cache, config.parameters, max(config.grid))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("height,count\n")
-        for h in sorted(spectrum.counts):
-            fh.write(f"{h},{spectrum.counts[h]}\n")
+    grid; it scans again only when ``run`` found every grid point in the
+    results cache."""
+    top = max(config.grid)
+    _, spectrum, _ = _count(config.parameters["target"], top, top, scan_cache)
+    fh.truncate(0)
+    fh.write("height,count\n")
+    for h in sorted(spectrum.counts):
+        fh.write(f"{h},{spectrum.counts[h]}\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -727,11 +669,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = config_from_args(args)
         scan_cache: dict = {}
-        with _unlimited_int_digits():
+        # a count's CSV file is opened before the count, and truncated after it
+        csv = args.csv if config.subcommand == "count" else None
+        fh = open(csv, "a", encoding="utf-8") if csv else None
+        with fh or contextlib.nullcontext(), _unlimited_int_digits():
             records = run(config, scan_cache)
             _print_records(records, args.json)
-            if args.csv:
-                _write_csv(args.csv, config, scan_cache)
+            if fh:
+                _write_csv(fh, config, scan_cache)
         return EXIT_OK
     except (ConfigError, RootDataError, ZetaError, MixingError, ValueError, OSError) as exc:
         if isinstance(exc, ResourceGuardError):

@@ -300,9 +300,9 @@ def _plateau(X, Y, Z):
 class _CartanRows:
     """The sweep's Cartan rows at one tracked prime p: three times the
     matrices of every content per (k, height) with k = v_p(det), in
-    ``rows``.  Row 0 is left empty (the caller takes it as the total less
-    the others), the row of det = 0 and the rows above K are dropped, and
-    so is the last column, which collects the heights from T on.
+    ``rows``, at least kmax + 1 of them.  The caller takes row 0 as the
+    total less the others, zeroes the row of det = 0 and the rows above K,
+    and drops the last column, which collects the heights from T on.
 
     Along a piece det = A t + c is linear in the free entry t.  If
     v_p(c) < v_p(A) every t has k = v_p(c); otherwise det has a p-adic
@@ -318,7 +318,7 @@ class _CartanRows:
     modulo p^e0 one by one.  ``cells`` takes single cells.
     """
 
-    def __init__(self, p: int, T: int, B: int):
+    def __init__(self, p: int, T: int, B: int, kmax: int):
         self.p, self.T = p, T
         # v_p(n) for |det| <= 2x^2 in the sweep's domain, up to K
         self.vtab = _val_table(p, 2 * B * B).astype(np.int8)
@@ -337,7 +337,7 @@ class _CartanRows:
         self.ninv = (P - self.inv) % P
         # rows k = v_p(A) + e for e < E stay below nk
         self.nk = max(K + 2, int(self.vtab[1 : B + 1].max(initial=0)) + E + 1)
-        self.rows = np.zeros((self.nk, T + 1), dtype=np.int64)
+        self.rows = np.zeros((max(self.nk, kmax + 1), T + 1), dtype=np.int64)
         self.flat = self.rows.reshape(-1)
         self.krow = np.arange(self.nk, dtype=np.int64) * (T + 1)
 
@@ -688,27 +688,32 @@ def _sweep_pgl2(T: int, primes, radius: int, work_limit: int) -> tuple[np.ndarra
         triples = int(sizes.sum())
     if triples > work_limit:
         raise ResourceGuardError(f"{triples} triples to visit exceed work limit {work_limit}")
-    all3 = np.zeros(T, dtype=np.int64)
+    counts = np.zeros(T, dtype=np.int64)
+    kmax = {}
+    for p in primes:
+        kmax[p], pk = 0, p
+        while pk <= 2 * radius * radius:
+            kmax[p], pk = kmax[p] + 1, pk * p
     # a prime above every |det| <= 2B^2 leaves all matrices at k = 0
-    cartan = [_CartanRows(p, T, B) for p in primes if p <= 2 * B * B]
+    cartan = [_CartanRows(p, T, B, kmax[p]) for p in primes if p <= 2 * B * B]
     lo, acc = 0, 0
     for i, size in enumerate(sizes.tolist()):
         acc += size
         if acc >= _SWEEP_BLOCK or i == B - 1:
-            _sweep_group(T, xs[lo : i + 1], ymax[lo : i + 1], all3, cartan)
+            _sweep_group(T, xs[lo : i + 1], ymax[lo : i + 1], counts, cartan)
             lo, acc = i + 1, 0
-    counts = _thirds(all3)
+    _thirds(counts)
     joint = {}
     for p in primes:
-        kmax, pk = 0, p
-        while pk <= 2 * radius * radius:
-            kmax, pk = kmax + 1, pk * p
-        joint[p] = np.zeros((kmax + 1, T), dtype=np.int64)
-        joint[p][0] = counts
-    for cr in cartan:
-        rows = joint[cr.p]
-        rows[1 : cr.K + 1] = _thirds(cr.rows[1 : cr.K + 1, :T])
-        rows[0] -= rows[1:].sum(axis=0)
+        cr = next((cr for cr in cartan if cr.p == p), None)
+        if cr is None:
+            rows = joint[p] = np.zeros((kmax[p] + 1, T), dtype=np.int64)
+        else:  # the sweep's rows become the joint counts in place
+            rows = joint[p] = cr.rows[: kmax[p] + 1, :T]
+            rows[cr.K + 1 :] = 0
+            for k in range(1, cr.K + 1):
+                _thirds(rows[k])
+        rows[0] = counts - rows[1:].sum(axis=0)
     # prim = product over primes q of (1 - S_(q^2)) applied to all; since
     # v_p(det dg) = 2 v_p(d) + v_p(det g), at q = p it also moves k up by 2
     for q in primes_below(B + 1):
@@ -722,11 +727,12 @@ def _sweep_pgl2(T: int, primes, radius: int, work_limit: int) -> tuple[np.ndarra
     return counts, joint, triples
 
 
-def _thirds(a: np.ndarray) -> np.ndarray:
-    counts, rest = np.divmod(a, 3)
+def _thirds(a: np.ndarray) -> None:
+    """Divide the 1-d array ``a`` by 3 in place, which must be exact."""
+    rest = np.empty_like(a)
+    np.divmod(a, 3, out=(a, rest))
     if rest.any():
         raise EnumerationError("sweep weights do not add up to whole matrices")
-    return counts
 
 
 def scan_pgl2_adjoint(

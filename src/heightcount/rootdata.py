@@ -19,6 +19,7 @@ the usual numbering of simple roots.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -46,14 +47,14 @@ class RootDataError(ValueError):
 # exact linear algebra over Q (small dense systems only)
 
 
-def _solve_exact(A: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve A x = rhs by fraction-exact Gauss-Jordan. Raises on singular A."""
-    n = len(A)
-    M = [row[:] + [rhs[i]] for i, row in enumerate(A)]
+def _solve_transposed(C: Sequence[Sequence[int]], rhs: Sequence[Fraction]) -> list[Fraction]:
+    """Solve C^T x = rhs by fraction-exact Gauss-Jordan. Raises on singular C."""
+    n = len(C)
+    M = [[Fraction(C[j][i]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
     for col in range(n):
         piv = next((r for r in range(col, n) if M[r][col] != 0), None)
         if piv is None:
-            raise RootDataError("singular Cartan block")
+            raise RootDataError("singular Cartan matrix")
         M[col], M[piv] = M[piv], M[col]
         inv = Fraction(1) / M[col][col]
         M[col] = [x * inv for x in M[col]]
@@ -62,6 +63,29 @@ def _solve_exact(A: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]
                 f = M[r][col]
                 M[r] = [x - f * y for x, y in zip(M[r], M[col])]
     return [M[r][n] for r in range(n)]
+
+
+def _check_partition(parts: Sequence[frozenset[int]], rank: int, what: str) -> None:
+    """Raise unless ``parts`` are nonempty and partition {1..rank}."""
+    seen: set[int] = set()
+    for part in parts:
+        if not part:
+            raise RootDataError(f"empty {what}")
+        if seen & part:
+            raise RootDataError(f"{what}s overlap")
+        seen |= part
+    if seen != set(range(1, rank + 1)):
+        raise RootDataError(f"{what}s must partition {{1..rank}}")
+
+
+def _index_sets(text: str, key: str) -> tuple[frozenset[int], ...]:
+    """A config value ``[[i, ...], ...]``: JSON lists of simple-root indices."""
+    sets = json.loads(text)
+    if not isinstance(sets, list) or not all(
+        isinstance(s, list) and all(type(i) is int for i in s) for s in sets
+    ):
+        raise RootDataError(f"{key} must be a list of lists of indices, got {text!r}")
+    return tuple(frozenset(s) for s in sets)
 
 
 # --------------------------------------------------------------------------
@@ -94,23 +118,15 @@ class RootSystem:
             for j in range(self.rank):
                 if i != j and C[i][j] > 0:
                     raise RootDataError("off-diagonal Cartan entries must be <= 0")
-        seen: set[int] = set()
-        for block in self.factor_partition:
-            if seen & block:
-                raise RootDataError("factor blocks overlap")
-            seen |= block
-        if seen != set(range(1, self.rank + 1)):
-            raise RootDataError("factor_partition must partition {1..rank}")
-        # off-block entries must vanish, and each block must be invertible
+        _check_partition(self.factor_partition, self.rank, "factor block")
+        # off-block entries must vanish: C is block-diagonal, so it is
+        # invertible exactly when each block is
         for block in self.factor_partition:
             for i in block:
                 for j in range(1, self.rank + 1):
                     if j not in block and C[i - 1][j - 1] != 0:
                         raise RootDataError("Cartan matrix couples distinct factors")
-        for block in self.factor_partition:
-            idx = sorted(block)
-            sub = [[Fraction(C[i - 1][j - 1]) for j in idx] for i in idx]
-            _solve_exact(sub, [Fraction(0)] * len(idx))  # raises if singular
+        _solve_transposed(C, [0] * self.rank)  # raises if singular
 
 
 @dataclass(frozen=True)
@@ -126,16 +142,15 @@ class GaloisOrbits:
     def trivial(cls, rank: int) -> "GaloisOrbits":
         return cls(tuple(frozenset([i]) for i in range(1, rank + 1)))
 
+    @classmethod
+    def parse(cls, text: str, rank: int) -> "GaloisOrbits":
+        """Orbits from JSON ``[[1], [2, 3], ...]``, checked against ``rank``."""
+        gal = cls(_index_sets(text, "galois"))
+        gal.validate(rank)
+        return gal
+
     def validate(self, rank: int) -> None:
-        seen: set[int] = set()
-        for orb in self.orbits:
-            if not orb:
-                raise RootDataError("empty Galois orbit")
-            if seen & orb:
-                raise RootDataError("Galois orbits overlap")
-            seen |= orb
-        if seen != set(range(1, rank + 1)):
-            raise RootDataError("Galois orbits must partition {1..rank}")
+        _check_partition(self.orbits, rank, "Galois orbit")
 
 
 @dataclass(frozen=True)
@@ -264,8 +279,6 @@ def parse_root_system_config(text: str) -> tuple[RootSystem, GaloisOrbits]:
     Recognized keys: ``type=A3`` or an explicit ``cartan=[[2,-1,...],...]``,
     plus optional ``factors=[[1,2,3]]`` and ``galois=[[1],[2],[3]]``.
     """
-    import json
-
     kv: dict[str, str] = {}
     for line in text.splitlines():
         line = line.strip()
@@ -282,7 +295,7 @@ def parse_root_system_config(text: str) -> tuple[RootSystem, GaloisOrbits]:
         C = json.loads(kv["cartan"])
         rank = len(C)
         if "factors" in kv:
-            partition = tuple(frozenset(b) for b in json.loads(kv["factors"]))
+            partition = _index_sets(kv["factors"], "factors")
         else:
             partition = (frozenset(range(1, rank + 1)),)
         rs = RootSystem(
@@ -295,28 +308,12 @@ def parse_root_system_config(text: str) -> tuple[RootSystem, GaloisOrbits]:
         raise RootDataError("config needs either type= or cartan=")
 
     if "galois" in kv:
-        gal = GaloisOrbits(tuple(frozenset(o) for o in json.loads(kv["galois"])))
-        gal.validate(rs.rank)
-    else:
-        gal = GaloisOrbits.trivial(rs.rank)
-    return rs, gal
+        return rs, GaloisOrbits.parse(kv["galois"], rs.rank)
+    return rs, GaloisOrbits.trivial(rs.rank)
 
 
 # --------------------------------------------------------------------------
 # operations
-
-
-def _blockwise_solve_transposed(rs: RootSystem, rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve C^T x = rhs block by block (blocks are the almost-simple factors)."""
-    C = rs.cartan_matrix
-    x = [Fraction(0)] * rs.rank
-    for block in rs.factor_partition:
-        idx = sorted(block)
-        A = [[Fraction(C[j - 1][i - 1]) for j in idx] for i in idx]  # transpose
-        sol = _solve_exact(A, [rhs[i - 1] for i in idx])
-        for pos, i in enumerate(idx):
-            x[i - 1] = sol[pos]
-    return x
 
 
 def two_rho_coeffs(rs: RootSystem) -> tuple[int, ...]:
@@ -325,7 +322,7 @@ def two_rho_coeffs(rs: RootSystem) -> tuple[int, ...]:
     2rho has fundamental coordinates (2,...,2), so u = 2 C^{-T} (1,...,1);
     the result is always integral.
     """
-    sol = _blockwise_solve_transposed(rs, [Fraction(2)] * rs.rank)
+    sol = _solve_transposed(rs.cartan_matrix, [2] * rs.rank)
     out = []
     for v in sol:
         if v.denominator != 1:
@@ -338,8 +335,7 @@ def weight_to_root_basis(rs: RootSystem, fund: Sequence) -> tuple[Fraction, ...]
     """Convert fundamental coordinates of a weight to simple-root coordinates."""
     if len(fund) != rs.rank:
         raise RootDataError("weight length does not match rank")
-    rhs = [Fraction(x) for x in fund]
-    return tuple(_blockwise_solve_transposed(rs, rhs))
+    return tuple(_solve_transposed(rs.cartan_matrix, fund))
 
 
 def is_saturated(rs: RootSystem, delta_iota: frozenset[int] | set[int]) -> bool:

@@ -279,6 +279,7 @@ def test_main_projective_any_dimension(tmp_path):
 
 def test_main_csv_output(tmp_path):
     csv_path = tmp_path / "spectrum.csv"
+    csv_path.write_text("stale\n" * 100)  # overwritten, not appended to
     code = main(
         [
             "--cache",
@@ -296,6 +297,7 @@ def test_main_csv_output(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "height,count"
     assert lines[1] == "1,4"
+    assert "stale" not in csv_path.read_text()
 
 
 def _spectrum_csv(spectrum) -> str:
@@ -381,9 +383,15 @@ def test_main_cache_directory_exit_2(tmp_path, capsys):
 
 
 def test_main_csv_in_missing_directory_exit_2(tmp_path, capsys):
-    argv = ["--cache", str(tmp_path / "c.jsonl"), "--csv", str(tmp_path / "missing" / "s.csv"),
-            "count", "--target", "projective:1", "--grid", "12"]
-    assert _exit_2_in_one_line(argv, capsys)
+    # the CSV path fails before the count: nothing printed, nothing cached
+    cache = tmp_path / "c.jsonl"
+    for target in ("projective:1", "pgl2-adjoint"):
+        argv = ["--cache", str(cache), "--csv", str(tmp_path / "missing" / "s.csv"),
+                "count", "--target", target, "--grid", "64,128"]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert not cache.exists()
 
 
 def test_main_config_file(tmp_path, capsys):
@@ -598,6 +606,72 @@ def _rejected_without_record(tmp_path, argv):
     before = cache.read_bytes()
     code = main(["--cache", str(cache)] + argv)
     return code == 2 and cache.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants"],
+        ["invariants", "--weight", "1,1"],
+        ["invariants", "--type", "A3", "--galois", "5"],
+        ["invariants", "--type", "A3", "--galois", "[1,2,3]"],
+        ["invariants", "--type", "A3", "--galois", '[[1],[2],["3"]]'],
+        ["invariants", "--type", "A3", "--galois", "[[1],[2]]"],
+    ],
+    ids=["bare", "weight-only", "galois-int", "galois-flat", "galois-str", "galois-short"],
+)
+def test_main_invariants_malformed_exit_2(tmp_path, capsys, argv):
+    assert _rejected_without_record(tmp_path, argv)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("factors", ["5", "[1,2]", "[[1],[]]"])
+def test_main_config_malformed_factors_exit_2(tmp_path, factors):
+    cfg_file = tmp_path / "rs.cfg"
+    cfg_file.write_text(f"cartan=[[2,0],[0,2]]\nfactors={factors}\n")
+    assert _rejected_without_record(tmp_path, ["--config", str(cfg_file), "invariants", "--weight", "1,1"])
+
+
+# one command line per subcommand with every option at its default, and the
+# digest that main stores for it (recorded before the option table existed)
+DEFAULT_DIGESTS = [
+    (["invariants", "--type", "A2"], "f8e0d802348f76a52a39a329fdbb28d7937606a0e515fc3d0a78290ba9347865"),
+    (["count", "--target", "pgl2-adjoint", "--grid", "16"], "fbdeb1cae047caf82407628d63352e9254d1606f560c7f7c5db0a4158fd71123"),
+    (["zeta"], "d2e6a0762e8e10049011ba65cf82eef40cc899922f0d1206539859e03addec69"),
+    (["zeta", "--residue"], "ffef2082eaca3a5bfe4a008e2331cf97ce1724696bcd26a54be74c89ed0e409d"),
+    (["fit", "--count-grid", "16,32,64,128,256"], "8b23f486100f3126d068224719ac7f4fed89ac8d417a7b9f728d32b4c2a194e7"),
+    (["mixing-probe"], "c541eeef266989247d46ea975a47cddb01156928fe22157daae1ba3c2eef1729"),
+    (["equidist", "--grid", "16"], "349057c73d8869d5b5839f17d8b7f72bf9a4f397f2c9094a54e640c68fba8916"),
+]
+# the same queries through run(), with only the options that have no default
+RUN_PARAMS = [
+    ("invariants", {"type": "A2"}, []),
+    ("count", {"target": "pgl2-adjoint"}, [16]),
+    ("zeta", {}, []),
+    ("zeta", {"residue": True}, []),
+    ("fit", {"count_grid": "16,32,64,128,256"}, []),
+    ("mixing-probe", {}, []),
+    ("equidist", {}, [16]),
+]
+
+
+@pytest.mark.parametrize("argv, digest", DEFAULT_DIGESTS, ids=[" ".join(a[:2]) for a, _ in DEFAULT_DIGESTS])
+def test_main_default_digests_are_pinned(tmp_path, capsys, argv, digest):
+    assert main(["--cache", str(tmp_path / "c.jsonl"), "--json"] + argv) == 0
+    assert json.loads(capsys.readouterr().out)["digest"] == digest
+
+
+@pytest.mark.parametrize(
+    "line, run_params", zip(DEFAULT_DIGESTS, RUN_PARAMS), ids=[" ".join(a[:2]) for a, _ in DEFAULT_DIGESTS]
+)
+def test_run_fills_defaults_like_main(tmp_path, line, run_params):
+    # run() with options left out keys them at their defaults: one record,
+    # whichever of run() and main asks first
+    (argv, digest), (subcommand, params, grid) = line, run_params
+    (rec,) = run(make_config(tmp_path, subcommand, params, grid=grid))
+    assert rec.params_digest == digest
+    assert main(["--cache", str(tmp_path / "cache.jsonl")] + argv) == 0
+    assert len((tmp_path / "cache.jsonl").read_text().splitlines()) == 1
 
 
 def test_zeta_cutoff_keys_only_the_residue(tmp_path, capsys):

@@ -536,6 +536,22 @@ def test_pgl2_sweep_sized_by_threshold_not_radius():
     assert np.array_equal(wide.height_counts, scan_pgl2_adjoint(4096).height_counts)
 
 
+def test_pgl2_sweep_strided_levels_match_cell_scan(monkeypatch):
+    # with one triple per block every group holds one x, so at 8192 the
+    # level arrays of stride p^e (e0 = 1..3 at p = 2, 1..2 at p = 3) and the
+    # one-x branch of the sweep run, which larger blocks reach only from
+    # about 2^15
+    from heightcount import enumeration
+
+    monkeypatch.setattr(enumeration, "_SWEEP_BLOCK", 1)
+    hc, joint = cell_scan(8192, (2, 3))
+    scan = scan_pgl2_adjoint(8192, (2, 3))
+    assert np.array_equal(scan.height_counts, hc)
+    for p in (2, 3):
+        assert scan.joint[p].shape == joint[p].shape
+        assert np.array_equal(scan.joint[p], joint[p])
+
+
 def _digest(a):
     return hashlib.sha256(np.ascontiguousarray(a, dtype="<i8").tobytes()).hexdigest()
 
