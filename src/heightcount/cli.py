@@ -93,14 +93,11 @@ class ExperimentConfig:
     parameters: dict[str, str]
     grid: list[int] = field(default_factory=list)
     cache_path: str = "heightcount_cache.jsonl"
-    threads: int = 1
     seed: int = 0
     allow_stale: bool = False
     audit_rate: int = 0  # re-verify ~1 in N cache hits; 0 disables
 
     def __post_init__(self):
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         if any(t < 1 for t in self.grid):
             raise ConfigError("grid points must be >= 1")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
@@ -580,6 +577,7 @@ def run(config: ExperimentConfig, scan_cache: dict | None = None) -> list[Result
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="heightcount",
+        allow_abbrev=False,  # else fit's --a reads as a prefix of --allow-stale
         description="rational points of bounded height: counts, exponents, "
         "local factors, decay bounds",
     )
@@ -609,6 +607,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> ExperimentConfig:
+    if args.threads < 1:
+        raise ConfigError("threads must be >= 1")
     options = _SUBCOMMANDS[args.subcommand][1]
     params = {key: getattr(args, key) for key in options if key != "grid"}
     if args.config:
@@ -622,7 +622,6 @@ def config_from_args(args) -> ExperimentConfig:
         parameters=params,
         grid=grid,
         cache_path=args.cache,
-        threads=args.threads,
         seed=args.seed,
         allow_stale=args.allow_stale,
         audit_rate=args.audit_rate,

@@ -1,10 +1,9 @@
-"""Exact heights on projective points over Q, and radial coordinates.
+"""Exact heights of rational points of PGL_2, and radial coordinates.
 
-A point of P(M_n(Q)) (or P^n(Q)) is represented by a content-1 integer
-matrix (or vector), unique up to sign; the canonical sign makes the first
-nonzero entry positive.  The global height of a point is the product over
-all places of the local max-norms of any representative, which for the
-canonical representative collapses to its largest |entry|, an integer.
+A point of PGL_2(Q) (or P^n(Q)) is its content-1 integer 2x2 matrix (or
+vector), unique up to sign; the canonical sign makes the first nonzero
+entry positive.  Its height, the product over all places of the local
+max-norms, is the largest |entry| of that representative, an integer.
 
 The adjoint embedding of PGL_2 sends g to the matrix of X -> g X adj(g) on
 trace-zero 2x2 matrices in the ordered basis
@@ -29,6 +28,7 @@ place and singular values at the real place.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -50,7 +50,6 @@ __all__ = [
     "MeasureConvention",
     "HeightError",
     "primitive_vector",
-    "local_height",
     "global_height",
     "adjoint_rep",
     "smith_exponents",
@@ -154,111 +153,55 @@ def primitive_vector(entries: Sequence[int]) -> tuple[tuple[int, ...], int]:
 
 @dataclass(frozen=True)
 class PrimitiveMatrix:
-    """Content-1 invertible integer matrix with canonical sign; the unique
-    representative of a point of PGL_n(Q)."""
+    """Content-1 invertible integer 2x2 matrix with canonical sign; the
+    unique representative of a point of PGL_2(Q)."""
 
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n = len(self.entries)
-        if n == 0 or any(len(row) != n for row in self.entries):
-            raise HeightError("entries must form a square matrix")
+        if len(self.entries) != 2 or any(len(row) != 2 for row in self.entries):
+            raise HeightError("expected a 2x2 matrix")
         flat = [x for row in self.entries for x in row]
         prim, content = primitive_vector(flat)
         if content != 1 or tuple(flat) != prim:
             raise HeightError("matrix is not in canonical primitive form")
-        if _int_det(self.entries) == 0:
+        if self.det() == 0:
             raise HeightError("determinant must be nonzero")
 
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
     def det(self) -> int:
-        return _int_det(self.entries)
-
-
-def _int_det(rows) -> int:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    det = 0
-    for j in range(n):
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        det += (-1) ** j * rows[0][j] * _int_det(minor)
-    return det
+        (a, b), (c, d) = self.entries
+        return a * d - b * c
 
 
 # --------------------------------------------------------------------------
-# local and global heights
-
-
-def _as_fraction_rows(M) -> list[list[Fraction]]:
-    if isinstance(M, PrimitiveMatrix):
-        M = M.entries
-    rows = [[Fraction(x) for x in row] for row in M]
-    if not rows or all(x == 0 for row in rows for x in row):
-        raise HeightError("zero matrix has no height")
-    return rows
-
-
-def _padic_abs(x: Fraction, p: int) -> Fraction:
-    if x == 0:
-        return Fraction(0)
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return Fraction(1, p**v) if v >= 0 else Fraction(p ** (-v))
-
-
-def local_height(M, v: Place) -> Fraction:
-    """Local max-norm: max over entries of |entry|_v, exactly."""
-    rows = _as_fraction_rows(M)
-    if v.is_finite:
-        return max(_padic_abs(x, v.p) for row in rows for x in row)
-    return max(abs(x) for row in rows for x in row)
+# heights
 
 
 def global_height(M) -> int:
-    """Product over all places of the local max-norms.
-
-    Equals the largest |entry| of the content-1 integer representative, so
-    it is a positive integer for any rational input and invariant under
-    nonzero rational scaling (the product formula).
-    """
-    rows = _as_fraction_rows(M)
-    den = 1
-    for row in rows:
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = [int(x * den) for row in rows for x in row]
-    prim, _ = primitive_vector(ints)
-    return max(abs(x) for x in prim)
+    """Height of the point an integer matrix represents (nested sequences
+    or a PrimitiveMatrix): the largest |entry| over the content, a positive
+    integer invariant under nonzero integer scaling (the product formula)."""
+    rows = M.entries if isinstance(M, PrimitiveMatrix) else M
+    try:
+        flat = [operator.index(x) for row in rows for x in row]
+    except TypeError:
+        raise HeightError("height entries must be integers") from None
+    if not any(flat):
+        raise HeightError("zero matrix has no height")
+    return max(map(abs, flat)) // math.gcd(*flat)
 
 
 # --------------------------------------------------------------------------
 # the adjoint embedding of PGL_2
 
 
-def adjoint_rep(g, n: int = 2) -> tuple[tuple[tuple[int, ...], ...], int]:
+def adjoint_rep(g) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Matrix of X -> g X adj(g) on trace-zero 2x2 matrices, basis (e, f, h).
 
     Returns (M, det_g); M/det_g is the adjoint action of g and M always has
     content 1 for primitive g.
     """
-    if n != 2:
-        raise HeightError("only the PGL_2 adjoint embedding is implemented")
-    if isinstance(g, PrimitiveMatrix):
-        rows = g.entries
-    else:
-        rows = tuple(tuple(int(x) for x in row) for row in g)
+    rows = g.entries if isinstance(g, PrimitiveMatrix) else [[int(x) for x in row] for row in g]
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
         raise HeightError("expected a 2x2 matrix")
     (a, b), (c, d) = rows

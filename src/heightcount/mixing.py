@@ -63,7 +63,6 @@ __all__ = [
     "xi_padic_squared",
     "hecke_recursion_residual",
     "xi_real",
-    "eta",
     "xi_global",
     "evaluate_point",
     "verify_bounds",
@@ -129,19 +128,6 @@ def xi_real(t: float) -> float:
     return min(1.0, math.exp(-t) / _agm(1.0, x))
 
 
-def eta(place: Place, radial: CartanCoordinates) -> float:
-    """Cartan displacement |alpha(a)|_v normalized to be >= 1: q^gap at a
-    finite place, the singular-value ratio at the real place."""
-    if radial.place != place:
-        raise MixingError("radial data does not belong to the given place")
-    if place.is_finite:
-        exps = radial.exponents
-        gap = exps[-1] - exps[0]
-        return float(place.p**gap)
-    sv = radial.singular_values
-    return sv[0] / sv[-1]
-
-
 # --------------------------------------------------------------------------
 # global decay function
 
@@ -168,7 +154,7 @@ class XiEvaluation:
     place: Place
     radial: CartanCoordinates
     xi: float
-    eta: float
+    eta: float  # Cartan displacement >= 1: q^n, or the singular-value ratio
 
     def __post_init__(self):
         if not (0.0 < self.xi <= 1.0):

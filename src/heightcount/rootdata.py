@@ -78,14 +78,14 @@ def _check_partition(parts: Sequence[frozenset[int]], rank: int, what: str) -> N
         raise RootDataError(f"{what}s must partition {{1..rank}}")
 
 
-def _index_sets(text: str, key: str) -> tuple[frozenset[int], ...]:
-    """A config value ``[[i, ...], ...]``: JSON lists of simple-root indices."""
-    sets = json.loads(text)
-    if not isinstance(sets, list) or not all(
-        isinstance(s, list) and all(type(i) is int for i in s) for s in sets
+def _int_rows(text: str, key: str) -> list[list[int]]:
+    """A config value ``[[i, ...], ...]``: JSON lists of JSON integers."""
+    rows = json.loads(text)
+    if not isinstance(rows, list) or not all(
+        isinstance(r, list) and all(type(i) is int for i in r) for r in rows
     ):
-        raise RootDataError(f"{key} must be a list of lists of indices, got {text!r}")
-    return tuple(frozenset(s) for s in sets)
+        raise RootDataError(f"{key} must be a list of lists of integers, got {text!r}")
+    return rows
 
 
 # --------------------------------------------------------------------------
@@ -145,7 +145,7 @@ class GaloisOrbits:
     @classmethod
     def parse(cls, text: str, rank: int) -> "GaloisOrbits":
         """Orbits from JSON ``[[1], [2, 3], ...]``, checked against ``rank``."""
-        gal = cls(_index_sets(text, "galois"))
+        gal = cls(tuple(map(frozenset, _int_rows(text, "galois"))))
         gal.validate(rank)
         return gal
 
@@ -292,15 +292,15 @@ def parse_root_system_config(text: str) -> tuple[RootSystem, GaloisOrbits]:
     if "type" in kv:
         rs = named_root_system(kv["type"])
     elif "cartan" in kv:
-        C = json.loads(kv["cartan"])
+        C = _int_rows(kv["cartan"], "cartan")
         rank = len(C)
         if "factors" in kv:
-            partition = _index_sets(kv["factors"], "factors")
+            partition = tuple(map(frozenset, _int_rows(kv["factors"], "factors")))
         else:
             partition = (frozenset(range(1, rank + 1)),)
         rs = RootSystem(
             rank=rank,
-            cartan_matrix=tuple(tuple(int(x) for x in row) for row in C),
+            cartan_matrix=tuple(map(tuple, C)),
             factor_partition=partition,
             label=kv.get("label", "custom"),
         )

@@ -89,33 +89,18 @@ def cell_volume(q: int, k: int) -> Fraction:
 
 @dataclass(frozen=True)
 class LocalFactor:
-    """Local zeta factor as an exact rational function of t = q^{-s}.
-
-    numerator/denominator hold integer coefficients in increasing powers
-    of t; cell_volumes tabulates the cell measures entering the series form
-    Z(s) = sum_k vol_k q^{-ks}.
-    """
+    """Local zeta factor Z_q(s) = (1 + t)/(1 - q t), t = q^{-s}, and the
+    cell measures vol_k of its series form Z(s) = sum_k vol_k q^{-ks}."""
 
     q: int
-    numerator: tuple[int, ...]
-    denominator: tuple[int, ...]
     cell_volumes: tuple[Fraction, ...]
-
-    def _poly(self, coeffs, t):
-        acc = 0 * t
-        for c in reversed(coeffs):
-            acc = acc * t + c
-        return acc
 
     def evaluate_exact(self, s: int) -> Fraction:
         """Value at an integer s > 1, as an exact rational."""
         if s <= 1:
             raise ZetaError("local factor diverges for s <= 1")
         t = Fraction(1, self.q**s)
-        den = self._poly(self.denominator, t)
-        if den <= 0:
-            raise ZetaError("evaluation outside the convergence region")
-        return self._poly(self.numerator, t) / den
+        return (1 + t) / (1 - self.q * t)
 
     def evaluate(self, s) -> mp.mpf:
         """Value at real s > 1 (mpmath float)."""
@@ -123,10 +108,10 @@ class LocalFactor:
         if s <= 1:
             raise ZetaError("local factor diverges for s <= 1")
         t = mp.power(self.q, -s)
-        den = self._poly(self.denominator, t)
+        den = 1 - self.q * t
         if den <= 0:
             raise ZetaError("evaluation outside the convergence region")
-        return self._poly(self.numerator, t) / den
+        return (1 + t) / den
 
 
 def local_factor_pgl2_adjoint(p: int) -> LocalFactor:
@@ -135,8 +120,6 @@ def local_factor_pgl2_adjoint(p: int) -> LocalFactor:
         raise ZetaError(f"{p} is not prime")
     return LocalFactor(
         q=p,
-        numerator=(1, 1),
-        denominator=(1, -p),
         cell_volumes=tuple(cell_volume(p, k) for k in range(_CELL_KMAX + 1)),
     )
 

@@ -117,18 +117,15 @@ def test_count_is_cached_and_byte_identical(tmp_path):
 
 
 def test_count_payload_independent_of_threads(tmp_path, capsys):
-    # every scan runs on one thread: threads= and --threads are kept for
-    # older callers and change no count
-    params = {"target": "pgl2-adjoint", "primes": "2,3"}
+    # every scan runs on one thread: --threads is kept for older command
+    # lines, changes no count, and still rejects values below 1
     payloads = []
     for threads in (1, 2):
-        os.makedirs(tmp_path / str(threads))
-        (rec,) = run(make_config(tmp_path / str(threads), "count", params, grid=[64], threads=threads))
-        payloads.append(rec.payload)
         argv = ["--cache", str(tmp_path / f"m{threads}.jsonl"), "--json", "--threads", str(threads)]
         assert main(argv + ["count", "--target", "pgl2-adjoint", "--grid", "64", "--primes", "2,3"]) == 0
         payloads.append(json.loads(capsys.readouterr().out)["payload"])
-    assert all(p == payloads[0] for p in payloads)
+    assert payloads[0] == payloads[1]
+    assert _rejected_without_record(tmp_path, ["--threads", "0", "invariants", "--type", "A2"])
 
 
 def test_count_product_target(tmp_path):
@@ -141,10 +138,12 @@ def test_count_product_target(tmp_path):
 
 
 def test_count_projective_target(tmp_path):
+    from heightcount.enumeration import count_projective
+
     cfg = make_config(tmp_path, "count", {"target": "projective:1"}, grid=[10, 20])
     recs = run(cfg)
     assert [r.payload["total"] for r in recs] == [
-        sum(c for h, c in __import__("heightcount").count_projective(1, t).counts.items())
+        sum(c for h, c in count_projective(1, t).counts.items())
         for t in (10, 20)
     ]
 
@@ -630,6 +629,32 @@ def test_main_config_malformed_factors_exit_2(tmp_path, factors):
     cfg_file = tmp_path / "rs.cfg"
     cfg_file.write_text(f"cartan=[[2,0],[0,2]]\nfactors={factors}\n")
     assert _rejected_without_record(tmp_path, ["--config", str(cfg_file), "invariants", "--weight", "1,1"])
+
+
+@pytest.mark.parametrize(
+    "cartan",
+    ["5", "[[2,-1],5]", "[[2,-1],[-1,2.0]]", '[[2,-1],[-1,"2"]]', "[[2,-1],[-1]]"],
+    ids=["int", "row-int", "float", "str", "ragged"],
+)
+def test_main_config_malformed_cartan_exit_2(tmp_path, capsys, cartan):
+    cfg_file = tmp_path / "rs.cfg"
+    cfg_file.write_text(f"cartan={cartan}\n")
+    assert _rejected_without_record(tmp_path, ["--config", str(cfg_file), "invariants", "--weight", "1,1"])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def test_main_fit_exponent_flags_parse(tmp_path, capsys):
+    # fit's --a is its own option, not an abbreviation of a global flag
+    digests = []
+    for extra in ([], ["--a", "2"], ["--a=2", "--b", "1"]):
+        argv = ["--cache", str(tmp_path / "c.jsonl"), "--json", "fit", "--count-grid", "16,32,64,128,256"]
+        assert main(argv + extra) == 0
+        digests.append(json.loads(capsys.readouterr().out)["digest"])
+    assert digests == [digests[0]] * 3
+    assert len((tmp_path / "c.jsonl").read_text().splitlines()) == 1
+    # and a global flag is no longer matched by a prefix
+    assert main(["--cache", str(tmp_path / "c.jsonl"), "--aud", "1", "invariants", "--type", "A2"]) == 2
 
 
 # one command line per subcommand with every option at its default, and the

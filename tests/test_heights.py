@@ -17,7 +17,6 @@ from heightcount.heights import (
     adjoint_rep,
     cartan_radial_real,
     global_height,
-    local_height,
     primitive_vector,
     smith_exponents,
 )
@@ -57,42 +56,40 @@ def test_primitive_matrix_validation():
         PrimitiveMatrix(((-1, 0), (0, 1)))  # wrong sign
     with pytest.raises(HeightError):
         PrimitiveMatrix(((1, 1), (1, 1)))  # det 0
+    with pytest.raises(HeightError):
+        PrimitiveMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 1)))  # not 2x2
+    assert PrimitiveMatrix(((2, 1), (1, -1))).det() == -3
 
 
 # --------------------------------------------------------------------------
-# local and global heights
-
-DIAG_2_1_HALF = [
-    [2, 0, 0],
-    [0, 1, 0],
-    [0, 0, Fraction(1, 2)],
-]
-
-
-def test_local_height_examples():
-    assert local_height(DIAG_2_1_HALF, Place.prime(2)) == 2
-    assert local_height(DIAG_2_1_HALF, Place.infinity()) == 2
-    assert local_height(DIAG_2_1_HALF, Place.prime(3)) == 1
-    ident = [[1, 0], [0, 1]]
-    for v in (Place.infinity(), Place.prime(2), Place.prime(97)):
-        assert local_height(ident, v) == 1
+# global heights
 
 
 def test_global_height_examples():
-    assert global_height(DIAG_2_1_HALF) == 4
     assert global_height([[1, 0], [0, 1]]) == 1
-    assert type(global_height([[Fraction(1, 2), 0], [0, 3]])) is int
+    assert global_height([[4, 0, 0], [0, 2, 0], [0, 0, 1]]) == 4
+    assert global_height(((3, -7), (2, 5))) == 7
+    # content > 1: the height is that of the content-1 representative
+    assert global_height([[6, 0], [0, 2]]) == 3
+    assert global_height([[-10, 4], [0, 6]]) == 5
+    assert global_height(PrimitiveMatrix(((2, 1), (1, 1)))) == 2
+    assert type(global_height([[2, 0], [0, 4]])) is int
 
 
-def test_global_height_is_product_of_locals():
-    M = [[Fraction(3, 4), 5], [Fraction(-7, 6), 2]]
-    primes = {2, 3, 5, 7}
-    prod = local_height(M, Place.infinity())
-    for p in primes:
-        prod *= local_height(M, Place.prime(p))
-    for p in (11, 13, 17):  # places where nothing happens
-        assert local_height(M, Place.prime(p)) == 1
-    assert prod == global_height(M)
+@pytest.mark.parametrize(
+    "M",
+    [
+        [[Fraction(1, 2), 0], [0, 3]],
+        [[Fraction(2), 0], [0, 3]],
+        [[1.0, 0], [0, 3]],
+        [[0.5, 0], [0, 3]],
+        [[0, 0], [0, 0]],
+    ],
+    ids=["fraction", "integral-fraction", "integral-float", "float", "zero"],
+)
+def test_global_height_rejects_non_integer_and_zero(M):
+    with pytest.raises(HeightError):
+        global_height(M)
 
 
 def _kron(A, B):
@@ -124,15 +121,13 @@ def test_product_embedding_height_is_multiplicative(a, b):
 
 @given(
     entries=st.lists(st.integers(-30, 30), min_size=4, max_size=4),
-    num=st.integers(min_value=-9, max_value=9).filter(lambda x: x != 0),
-    den=st.integers(min_value=1, max_value=9),
+    c=st.integers(min_value=-9, max_value=9).filter(lambda x: x != 0),
 )
 @settings(max_examples=80, deadline=None)
-def test_product_formula_scaling_invariance(entries, num, den):
+def test_product_formula_scaling_invariance(entries, c):
     if all(x == 0 for x in entries):
         return
     M = [entries[:2], entries[2:]]
-    c = Fraction(num, den)
     scaled = [[c * x for x in row] for row in M]
     assert global_height(M) == global_height(scaled)
 

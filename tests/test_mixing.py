@@ -11,7 +11,6 @@ from heightcount.heights import CartanCoordinates, Place, PrimitiveMatrix
 from heightcount.mixing import (
     MixingError,
     XiEvaluation,
-    eta,
     evaluate_point,
     hecke_recursion_residual,
     lp_probe,
@@ -135,24 +134,6 @@ def test_xi_real_asymptotic_slope():
     r20 = math.log(xi_real(20.0)) / 20.0
     r40 = math.log(xi_real(40.0)) / 40.0
     assert -1.0 < r40 < r20 < -0.8
-
-
-# --------------------------------------------------------------------------
-# eta
-
-
-def test_eta_examples():
-    assert eta(Place.prime(2), CartanCoordinates(Place.prime(2), exponents=(0, 3))) == 8.0
-    assert eta(Place.prime(2), CartanCoordinates(Place.prime(2), exponents=(0, 0))) == 1.0
-    real = CartanCoordinates(Place.infinity(), singular_values=(3.0, 1.0))
-    assert eta(Place.infinity(), real) == 3.0
-    ident = CartanCoordinates(Place.infinity(), singular_values=(1.0, 1.0))
-    assert eta(Place.infinity(), ident) == 1.0
-
-
-def test_eta_rejects_mismatched_place():
-    with pytest.raises(MixingError):
-        eta(Place.prime(3), CartanCoordinates(Place.prime(2), exponents=(0, 1)))
 
 
 # --------------------------------------------------------------------------
