@@ -42,6 +42,8 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__
 from .rootdata import (
     GaloisOrbits,
@@ -305,24 +307,40 @@ class ResultCache:
 # scans -> payload dict)
 
 
-def _spectrum_digest(spectrum) -> str:
-    # lines "h,c" in ascending h, formatted in one call
+def _spectrum_text(spectrum) -> str:
+    """The lines "h,c" in ascending h, formatted in one call: the body of
+    both the spectrum digest and the --csv file."""
     items = sorted(spectrum.counts.items())
-    body = "\n".join(["%d,%d"] * len(items)) % tuple(itertools.chain.from_iterable(items))
-    return hashlib.sha256(body.encode()).hexdigest()
+    return "\n".join(["%d,%d"] * len(items)) % tuple(itertools.chain.from_iterable(items))
+
+
+def _spectrum_digest(spectrum) -> str:
+    return hashlib.sha256(_spectrum_text(spectrum).encode()).hexdigest()
+
+
+def _scan_text(scans: dict, top: int, T: int) -> str:
+    """``_spectrum_text`` of the scan at top below T: a prefix of the lines
+    of the whole scan, which are formatted once per run."""
+    if ("text", top) not in scans:
+        counts = scans["pgl2", top].height_counts
+        hs = np.flatnonzero(counts)
+        pairs = np.stack([hs, counts[hs]], axis=1).ravel().tolist()
+        scans["text", top] = hs, ("\n".join(["%d,%d"] * len(hs)) % tuple(pairs)).split("\n")
+    hs, lines = scans["text", top]
+    return "\n".join(lines[: int(np.searchsorted(hs, T))])
 
 
 def _count(target: str, T: int, top: int, scans: dict, primes: tuple[int, ...] = ()):
-    """A count target's total below T, the spectrum its payload digests, and
-    for pgl2-adjoint the Cartan histograms below T of ``primes``, from the
-    run's one scan or count at ``top``, the top of its grid, kept in
-    ``scans``."""
+    """A count target's total below T, a function giving the text of the
+    spectrum its payload digests, and for pgl2-adjoint the Cartan
+    histograms below T of ``primes``, from the run's one scan or count at
+    ``top``, the top of its grid, kept in ``scans``."""
     if target.startswith("projective:"):
         n = int(target.split(":", 1)[1])
         if ("projective", n, top) not in scans:
             scans["projective", n, top] = count_projective(n, top)
         spectrum = scans["projective", n, top].below(T)
-        return spectrum.total, spectrum, {}
+        return spectrum.total, lambda: _spectrum_text(spectrum), {}
     if target.startswith("product-pgl2:"):
         w1, w2 = (int(x) for x in target.split(":", 1)[1].split(","))
         primes = ()  # a product has no histograms: any scan at top serves
@@ -332,10 +350,10 @@ def _count(target: str, T: int, top: int, scans: dict, primes: tuple[int, ...] =
     if scan is None or not set(primes) <= scan.joint.keys():
         scan = scans["pgl2", top] = scan_pgl2_adjoint(top, primes)
     if target == "pgl2-adjoint":
-        spectrum = scan.spectrum(T)
-        return spectrum.total, spectrum, {p: scan.histogram(p, T) for p in primes}
+        total = int(scan.height_counts[:T].sum())
+        return total, lambda: _scan_text(scans, top, T), {p: scan.histogram(p, T) for p in primes}
     spectrum = scan.spectrum()
-    return convolve_counts(spectrum, spectrum, w1, w2, T), spectrum, {}
+    return convolve_counts(spectrum, spectrum, w1, w2, T), lambda: _scan_text(scans, top, top), {}
 
 
 def payload_invariants(params: dict, T: int, top: int, scans: dict) -> dict:
@@ -378,12 +396,12 @@ def payload_count(params: dict, T: int, top: int, scans: dict) -> dict:
     composite = [p for p in primes if not _is_prime(p)]
     if composite:
         raise ConfigError(f"tracked primes must be prime, got {composite[0]}")
-    total, spectrum, hists = _count(params["target"], T, top, scans, primes)
+    total, text, hists = _count(params["target"], T, top, scans, primes)
     return {
         "query": {"target": params["target"], "primes": list(primes)},
         "T": T,
         "total": total,
-        "spectrum_digest": _spectrum_digest(spectrum),
+        "spectrum_digest": hashlib.sha256(text().encode()).hexdigest(),
         "histograms": {
             str(p): {str(k): c for k, c in hist.freq.items()} for p, hist in hists.items()
         },
@@ -424,6 +442,8 @@ def payload_zeta(params: dict, T: int, top: int, scans: dict) -> dict:
 
 def payload_fit(params: dict, T: int, top: int, scans: dict) -> dict:
     grid = [int(x) for x in params["count_grid"].split(",") if x]
+    if min(grid, default=1) < 1:
+        raise ConfigError("grid points must be >= 1")
     a = Fraction(params["a"])
     b = int(params["b"])
     counts = [(t, _count(params["target"], t, max(grid), scans)[0]) for t in grid]
@@ -652,11 +672,9 @@ def _write_csv(fh, config: ExperimentConfig, scan_cache: dict) -> None:
     grid; it scans again only when ``run`` found every grid point in the
     results cache."""
     top = max(config.grid)
-    _, spectrum, _ = _count(config.parameters["target"], top, top, scan_cache)
+    text = _count(config.parameters["target"], top, top, scan_cache)[1]()
     fh.truncate(0)
-    fh.write("height,count\n")
-    for h in sorted(spectrum.counts):
-        fh.write(f"{h},{spectrum.counts[h]}\n")
+    fh.write("height,count\n" + (text + "\n" if text else ""))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -133,22 +133,26 @@ class HeightSpectrum:
     threshold: int
 
     def __post_init__(self):
-        if any(h < 1 for h in self.counts):
+        counts = self.counts
+        if counts and min(counts) < 1:
             raise EnumerationError("height values must be >= 1")
-        if any(c < 0 for c in self.counts.values()):
+        if counts and min(counts.values()) < 0:
             raise EnumerationError("counts must be non-negative")
-        self.counts = {h: c for h, c in self.counts.items() if c != 0}
+        self.counts = {h: c for h, c in counts.items() if c} if 0 in counts.values() else dict(counts)
 
     @property
     def total(self) -> int:
         return sum(self.counts.values())
 
     def count_below(self, T: int) -> int:
-        """Number of points with height < T; requires T <= threshold."""
+        """Number of points with height < T; requires 1 <= T <= threshold."""
         return self.below(T).total
 
     def below(self, T: int) -> "HeightSpectrum":
-        """The spectrum of the points with height < T; requires T <= threshold."""
+        """The spectrum of the points with height < T; requires
+        1 <= T <= threshold."""
+        if T < 1:
+            raise EnumerationError("T must be >= 1")
         if T > self.threshold:
             raise IncompleteSpectrumError(
                 f"spectrum complete below {self.threshold}, asked for {T}"
@@ -282,6 +286,11 @@ def _take(a, shape, f):
     return np.broadcast_to(a, shape).reshape(-1)[f]
 
 
+def _flat(*a):
+    """The arrays a broadcast together, as flat int64 arrays."""
+    return [np.asarray(b, dtype=np.int64).ravel() for b in np.broadcast_arrays(*a)]
+
+
 def _plateau(X, Y, Z):
     """For cells (x, y, z): the height C = max(x^2, 2xy) of the constant
     pieces, Q = yz = qx + r, and the w in [1, x) at height C: the first cm
@@ -373,11 +382,11 @@ class _CartanRows:
 
     def cells(self, det, hidx, w) -> None:
         """Single cells of |det| det at the column hidx = min(height, T), w
-        matrices each (k = 0 needs no entry)."""
-        k = self.vtab[det].reshape(-1)
+        matrices each (k = 0 needs no entry); flat int64 arrays from
+        ``_flat``."""
+        k = self.vtab[det]
         f = np.flatnonzero(k)
-        idx = k[f] * self.krow[1] + _take(hidx, det.shape, f)
-        np.add.at(self.flat, idx, _take(w, det.shape, f).astype(np.int64))
+        np.add.at(self.flat, k[f] * self.krow[1] + hidx[f], w[f])
 
     def _mod(self, a, P):
         return a & (P - 1) if self.p == 2 else a - a // P * P
@@ -427,21 +436,26 @@ class _CartanRows:
                 ge[e] = rowsum(a // s - b // s, dt)
         hit = (rs >= lo) & (rs <= hi)
         ge[E] = rowsum(hit)
-        ge = (ge[:-1] - ge[1:]) * w
-        nz = ge != 0
-        idx.append(((self.krow[v] + hidx) + self.krow[:E, None])[nz])
-        cnt.append(ge[nz])
+        # the levels' exact counts, zeros and all: masking them costs more
+        d = ge[:-1]
+        d -= ge[1:]
+        d *= w
+        base = self.krow[v] + hidx
+        for e in range(E):
+            np.add.at(self.flat, base + self.krow[e], d[e])
         # the candidates, each at its own k
         f = np.flatnonzero(hit)
         i = f // n
         det = A[i].astype(np.int64) * rs.reshape(-1)[f] + c.reshape(-1)[f]
         idx.append(vtab[np.abs(det)] * self.krow[1] + hidx[i])
         cnt.append(_take(w, (R,), i))
-        np.add.at(self.flat, np.concatenate([a.ravel() for a in idx]), np.concatenate([a.ravel() for a in cnt]))
+        for a, b in zip(idx, cnt):
+            np.add.at(self.flat, a.ravel(), b.ravel())
 
-    def runs(self, X, Q, lo, hi, run, r, q) -> None:
-        """The eps = + slope-x pieces where ``run``: w in [lo, hi] at
-        heights xw + Q, det = xw - Q, 48 matrices each.
+    def runs(self, X, Q, lo, hi, r, q) -> None:
+        """The eps = + slope-x pieces, one per entry (X may be one x for
+        all): w in [lo, hi] at heights xw + Q, det = xw - Q, 48 matrices
+        each.
 
         A run has k >= min(v_p(Q), v_p(x)) throughout, and k exactly that
         off the class of the root modulo p.  Whole runs go to the rows of
@@ -449,10 +463,6 @@ class _CartanRows:
         go to the level arrays for e < e0, and the members of the class
         modulo p^e0 move from the row of k = v_p(x) + e0 - 1 to their own k
         one by one."""
-        f = np.flatnonzero(run)
-        if np.ndim(X):
-            X = _take(X, run.shape, f)
-        Q, lo, hi, r, q = (_take(a, run.shape, f) for a in (Q, lo, hi, r, q))
         v = self.vtab[X]
         if v.any():
             X, v = np.broadcast_arrays(X, v, Q)[:2]
@@ -575,11 +585,13 @@ def _sweep_group(T: int, gx: np.ndarray, gy: np.ndarray, all3: np.ndarray, carta
             hrow = np.minimum(C[:, 0], T).astype(np.int64)
             he = cm if xa == xb else np.where(ok, cm, -cp - 1)
             # w = x under eps = +
-            single = (X * X - Q, np.minimum(Hxp, T).astype(np.int64))
+            single = _flat(X * X - Q, np.minimum(Hxp, T), 24 * ok)
+            f = np.flatnonzero(run)
+            runs = [a if np.ndim(a) == 0 else _take(a, run.shape, f) for a in (X, Q, lo, hi, r, q)]
             for cr in cartan:
                 cr.pieces(A, Q, -cp, he, hrow, 48)
-                cr.cells(*single, 24 * ok)
-                cr.runs(X, Q, lo, hi, run, r, q)
+                cr.cells(*single)
+                cr.runs(*runs)
     # w = x, eps = -: max(C, 2xz) is C for z <= max(x // 2, y), else 2xz
     # (reached by the rows y < z when 2z > x)
     zc = np.minimum(rx - 1, np.maximum(rx // 2, ry))
@@ -622,12 +634,14 @@ def _sweep_group(T: int, gx: np.ndarray, gy: np.ndarray, all3: np.ndarray, carta
         # one piece per cell: t in [-cp, cm] as above, or [1, cm] if Q = 0
         rowpieces.append((X, Q, np.where(both, -cp, 1), cm, C, wm))
         single = [
-            (X * X + Q, np.minimum(Hxm, T).astype(np.int64), wx),
-            (X * X - Q, np.minimum(np.maximum(Hxm, X * X + Q), T).astype(np.int64), wx * (both & ~(ey & ez))),
+            np.concatenate(a)
+            for a in zip(
+                _flat(X * X + Q, np.minimum(Hxm, T), wx),
+                _flat(X * X - Q, np.minimum(np.maximum(Hxm, X * X + Q), T), wx * (both & ~(ey & ez))),
+            )
         ]
         for cr in cartan:
-            for det, hidx, wt in single:
-                cr.cells(det, hidx, wt)
+            cr.cells(*single)
 
     # slope-2z pieces, dense over (x, z, w) with x^2 < 2zw < T: eps = -
     # from the rows y = 0..k1, eps = + from y = 1..k2

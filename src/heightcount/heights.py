@@ -177,15 +177,21 @@ class PrimitiveMatrix:
 # heights
 
 
+def _int_rows(M, cast=int) -> list[list]:
+    """The rows of a matrix of integers (int, numpy integers: anything
+    ``operator.index`` takes), each entry through ``cast``; floats and
+    fractions raise, whole or not."""
+    try:
+        return [[cast(operator.index(x)) for x in row] for row in M]
+    except TypeError:
+        raise HeightError("matrix entries must be integers") from None
+
+
 def global_height(M) -> int:
     """Height of the point an integer matrix represents (nested sequences
     or a PrimitiveMatrix): the largest |entry| over the content, a positive
     integer invariant under nonzero integer scaling (the product formula)."""
-    rows = M.entries if isinstance(M, PrimitiveMatrix) else M
-    try:
-        flat = [operator.index(x) for row in rows for x in row]
-    except TypeError:
-        raise HeightError("height entries must be integers") from None
+    flat = [x for row in _int_rows(M.entries if isinstance(M, PrimitiveMatrix) else M) for x in row]
     if not any(flat):
         raise HeightError("zero matrix has no height")
     return max(map(abs, flat)) // math.gcd(*flat)
@@ -201,7 +207,7 @@ def adjoint_rep(g) -> tuple[tuple[tuple[int, ...], ...], int]:
     Returns (M, det_g); M/det_g is the adjoint action of g and M always has
     content 1 for primitive g.
     """
-    rows = g.entries if isinstance(g, PrimitiveMatrix) else [[int(x) for x in row] for row in g]
+    rows = g.entries if isinstance(g, PrimitiveMatrix) else _int_rows(g)
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
         raise HeightError("expected a 2x2 matrix")
     (a, b), (c, d) = rows
@@ -231,7 +237,7 @@ def smith_exponents(M, p: int) -> CartanCoordinates:
         raise HeightError(f"{p} is not prime")
     if isinstance(M, PrimitiveMatrix):
         M = M.entries
-    rows = [[Fraction(int(x)) for x in row] for row in M]
+    rows = _int_rows(M, Fraction)
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise HeightError("expected a square integer matrix")

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -839,3 +840,39 @@ def test_import_loads_no_scipy():
     out, _ = proc.communicate(timeout=60)
     assert proc.returncode == 0
     assert out.strip() == "[]"
+
+
+# the cold primed count a user runs (and cli-session times), pinned to the
+# payloads and CSV of the spectrum sweep before the Cartan-row rework
+COLD_PRIMED_PINS = {
+    256: (318256, "80e52ceb38601ff5d297b689bce1a397cd4c9d109b0529161848c39dbf89aef5"),
+    512: (1361176, "e30f4a4bc062866995bde0ff55ec1213ce2807f01ea26e97fd4c60d88fab6e0c"),
+    1024: (5347832, "2501f65163eee67d37b3d22f1669dfcdedb49372f5bf9628099f82f516642e87"),
+    2048: (22413416, "8468c6063d2389d847865a8b5ad3a8cf1eac4f1efa4ec583f493c5121b4009c1"),
+}
+COLD_PRIMED_HISTOGRAMS_SHA256 = "e7bcb7d063ca70e3d1096a2643d1bb77f21f7b31f4898c37e11c90cb9e6641a6"
+COLD_PRIMED_CSV_SHA256 = "dc68026cc4d77b1b246abc3048b0ac75049cf9a14ae47d93c107d3210f8e9ec5"
+
+
+def test_cold_primed_count_is_pinned(tmp_path, capsys):
+    import hashlib
+
+    csv_path = tmp_path / "spectrum.csv"
+    argv = ["--cache", str(tmp_path / "c.jsonl"), "--json", "--csv", str(csv_path), "count",
+            "--target", "pgl2-adjoint", "--grid", "256,512,1024,2048", "--primes", "2,3"]
+    assert main(argv) == 0
+    payloads = [json.loads(line)["payload"] for line in capsys.readouterr().out.splitlines()]
+    assert {p["T"]: (p["total"], p["spectrum_digest"]) for p in payloads} == COLD_PRIMED_PINS
+    hists = json.dumps([p["histograms"] for p in payloads], sort_keys=True).encode()
+    assert hashlib.sha256(hists).hexdigest() == COLD_PRIMED_HISTOGRAMS_SHA256
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == COLD_PRIMED_CSV_SHA256
+
+
+@pytest.mark.parametrize("grid", ["0,16,64,128", "-4,16,64,128"])
+def test_main_fit_nonpositive_count_grid_exit_2(tmp_path, capsys, grid):
+    # a count at T < 1 used to reach the fit: a numpy divide-by-zero warning
+    # and "counts must be positive to fit", or "span too small"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _rejected_without_record(tmp_path, ["fit", "--target", "projective:2", f"--count-grid={grid}"])
+    assert "grid points must be >= 1" in capsys.readouterr().err

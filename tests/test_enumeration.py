@@ -552,6 +552,18 @@ def test_pgl2_sweep_strided_levels_match_cell_scan(monkeypatch):
         assert np.array_equal(scan.joint[p], joint[p])
 
 
+@pytest.mark.parametrize("T", [2048, 8192])
+def test_pgl2_tracked_primes_are_independent(T):
+    # a prime's joint counts must not depend on which other primes share
+    # the sweep, their order or repeats
+    together = scan_pgl2_adjoint(T, (2, 3))
+    reordered = scan_pgl2_adjoint(T, (3, 2, 2))
+    for p in (2, 3):
+        alone = scan_pgl2_adjoint(T, (p,)).joint[p]
+        assert np.array_equal(together.joint[p], alone)
+        assert np.array_equal(reordered.joint[p], alone)
+
+
 def _digest(a):
     return hashlib.sha256(np.ascontiguousarray(a, dtype="<i8").tobytes()).hexdigest()
 
@@ -635,6 +647,19 @@ def test_spectrum_validation_and_merge():
         s.count_below(6)
     with pytest.raises(EnumerationError):
         HeightSpectrum({0: 1}, threshold=2)
+    with pytest.raises(EnumerationError):
+        HeightSpectrum({1: -1}, threshold=2)
+    assert HeightSpectrum({1: 3, 2: 0}, threshold=3).counts == {1: 3}
+
+
+@pytest.mark.parametrize("T", [0, -5])
+def test_spectrum_reads_reject_nonpositive_threshold(T):
+    # below(0) used to return an empty spectrum and count_below(-5) a 0
+    s = HeightSpectrum({1: 4, 3: 2}, threshold=5)
+    with pytest.raises(EnumerationError, match=">= 1"):
+        s.below(T)
+    with pytest.raises(EnumerationError, match=">= 1"):
+        s.count_below(T)
 
 
 def brute_convolve(s1, s2, w1, w2, T):

@@ -365,3 +365,27 @@ def test_properness_height_balls_are_finite():
             inside.add((a, b, c, d))
             assert max(abs(a), abs(b), abs(c), abs(d)) <= B
     assert 0 < len(inside) < math.inf
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: adjoint_rep([[1.5, 0], [0, 1]]),
+        lambda: adjoint_rep([[Fraction(1, 2), 0], [0, 1]]),
+        lambda: adjoint_rep([[2.0, 1], [1, 1]]),
+        lambda: smith_exponents([[2.7, 0, 0], [0, 1, 0], [0, 0, 1]], 2),
+        lambda: smith_exponents([[2.0, 0, 0], [0, 1, 0], [0, 0, 1]], 2),
+    ],
+    ids=["adjoint-float", "adjoint-fraction", "adjoint-whole-float", "smith-float", "smith-whole-float"],
+)
+def test_matrix_entries_must_be_integers(call):
+    # int() used to truncate: 1.5 read as 1, 2.7 as 2
+    with pytest.raises(HeightError, match="integers"):
+        call()
+
+
+def test_matrix_entries_accept_numpy_integers():
+    g = np.array([[2, 1], [1, 1]], dtype=np.int64)
+    assert adjoint_rep(g) == adjoint_rep([[2, 1], [1, 1]])
+    M, _ = adjoint_rep(g)
+    assert smith_exponents(np.array(M), 3) == smith_exponents(M, 3)
