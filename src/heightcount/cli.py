@@ -42,34 +42,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
-from .rootdata import (
-    GaloisOrbits,
-    RootDataError,
-    adjoint_weight_root_coords,
-    manin_invariants,
-    named_root_system,
-    parse_root_system_config,
-    weight_to_root_basis,
-)
-from .enumeration import (
-    ResourceGuardError,
-    cartan_statistics,
-    convolve_counts,
-    count_projective,
-    scan_pgl2_adjoint,
-)
-from .zeta import (
-    ZetaError,
-    local_factor_pgl2_adjoint,
-    model_cell_probabilities,
-    residue_estimate,
-    tauberian_fit,
-)
-from .mixing import MixingError, verify_bounds
-from .heights import PrimitiveMatrix, _is_prime
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -304,7 +277,8 @@ class ResultCache:
 
 # --------------------------------------------------------------------------
 # subcommand payload builders (pure: params, T, top of the grid, the run's
-# scans -> payload dict)
+# scans -> payload dict).  Each imports numpy and the library modules it
+# uses itself, so a run answered from the cache loads neither.
 
 
 def _spectrum_text(spectrum) -> str:
@@ -321,6 +295,8 @@ def _spectrum_digest(spectrum) -> str:
 def _scan_text(scans: dict, top: int, T: int) -> str:
     """``_spectrum_text`` of the scan at top below T: a prefix of the lines
     of the whole scan, which are formatted once per run."""
+    import numpy as np
+
     if ("text", top) not in scans:
         counts = scans["pgl2", top].height_counts
         hs = np.flatnonzero(counts)
@@ -335,6 +311,8 @@ def _count(target: str, T: int, top: int, scans: dict, primes: tuple[int, ...] =
     spectrum its payload digests, and for pgl2-adjoint the Cartan
     histograms below T of ``primes``, from the run's one scan or count at
     ``top``, the top of its grid, kept in ``scans``."""
+    from .enumeration import convolve_counts, count_projective, scan_pgl2_adjoint
+
     if target.startswith("projective:"):
         n = int(target.split(":", 1)[1])
         if ("projective", n, top) not in scans:
@@ -357,6 +335,15 @@ def _count(target: str, T: int, top: int, scans: dict, primes: tuple[int, ...] =
 
 
 def payload_invariants(params: dict, T: int, top: int, scans: dict) -> dict:
+    from .rootdata import (
+        GaloisOrbits,
+        adjoint_weight_root_coords,
+        manin_invariants,
+        named_root_system,
+        parse_root_system_config,
+        weight_to_root_basis,
+    )
+
     if "config_text" in params:
         rs, gal = parse_root_system_config(params["config_text"])
     elif params["type"]:
@@ -390,6 +377,8 @@ def payload_invariants(params: dict, T: int, top: int, scans: dict) -> dict:
 
 
 def payload_count(params: dict, T: int, top: int, scans: dict) -> dict:
+    from .heights import _is_prime
+
     primes = tuple(int(p) for p in params["primes"].split(",") if p)
     # checked for every target: projective counts ignore the primes, but the
     # query records them
@@ -409,6 +398,8 @@ def payload_count(params: dict, T: int, top: int, scans: dict) -> dict:
 
 
 def payload_zeta(params: dict, T: int, top: int, scans: dict) -> dict:
+    from .zeta import local_factor_pgl2_adjoint, residue_estimate
+
     primes = [int(p) for p in params["primes"].split(",")]
     s_exact = int(params["at"])
     out = {"factors": []}
@@ -441,6 +432,8 @@ def payload_zeta(params: dict, T: int, top: int, scans: dict) -> dict:
 
 
 def payload_fit(params: dict, T: int, top: int, scans: dict) -> dict:
+    from .zeta import tauberian_fit
+
     grid = [int(x) for x in params["count_grid"].split(",") if x]
     if min(grid, default=1) < 1:
         raise ConfigError("grid points must be >= 1")
@@ -460,6 +453,9 @@ def payload_fit(params: dict, T: int, top: int, scans: dict) -> dict:
 
 
 def payload_mixing(params: dict, T: int, top: int, scans: dict) -> dict:
+    from .heights import PrimitiveMatrix
+    from .mixing import verify_bounds
+
     p = int(params["prime"])
     kmax = int(params["max_exponent"])
     eps = float(params["eps"])
@@ -484,6 +480,9 @@ def payload_mixing(params: dict, T: int, top: int, scans: dict) -> dict:
 
 
 def payload_equidist(params: dict, T: int, top: int, scans: dict) -> dict:
+    from .enumeration import cartan_statistics
+    from .zeta import model_cell_probabilities
+
     primes = tuple(int(p) for p in params["primes"].split(","))
     _, _, hists = _count("pgl2-adjoint", T, top, scans, primes)
     rows = {}
@@ -555,7 +554,8 @@ def run(config: ExperimentConfig, scan_cache: dict | None = None) -> list[Result
             raise ConfigError(f"{config.subcommand} needs --{key.replace('_', '-')}")
     params = {**options, **keyed}
     cache = ResultCache(config.cache_path, __version__, config.allow_stale)
-    rng = random.Random(config.seed)
+    # only the audit draws from it
+    rng = random.Random(config.seed) if config.audit_rate > 0 else None
     records: list[ResultRecord] = []
     scan_cache = {} if scan_cache is None else scan_cache
     # one scan or count at the top of the grid serves every threshold
@@ -695,8 +695,10 @@ def main(argv: list[str] | None = None) -> int:
             if fh:
                 _write_csv(fh, config, scan_cache)
         return EXIT_OK
-    except (ConfigError, RootDataError, ZetaError, MixingError, ValueError, OSError) as exc:
-        if isinstance(exc, ResourceGuardError):
+    except (ValueError, OSError) as exc:  # every library error is a ValueError
+        # a guard can trip only in a run that loaded enumeration
+        enumeration = sys.modules.get("heightcount.enumeration")
+        if enumeration and isinstance(exc, enumeration.ResourceGuardError):
             print(f"resource guard: {exc}", file=sys.stderr)
             return EXIT_GUARD
         print(f"invalid configuration: {exc}", file=sys.stderr)

@@ -5,7 +5,7 @@ the Cartan cell at level n by the Macdonald closed form
 
     Xi_p(n) = q^{-n/2} * (n (1 - 1/q) + (1 + 1/q)) / (1 + 1/q),
 
-certified here by the Hecke/tree recursion it must satisfy,
+which satisfies the Hecke/tree recursion (the tests check it)
 
     (q Xi(n+1) + Xi(n-1)) / (q + 1) = (2 sqrt(q) / (q+1)) Xi(n),  n >= 1.
 
@@ -53,7 +53,6 @@ from .heights import (
     cartan_radial_real,
     smith_exponents,
 )
-from .zeta import cell_volume
 
 __all__ = [
     "XiEvaluation",
@@ -61,9 +60,7 @@ __all__ = [
     "MixingError",
     "xi_padic",
     "xi_padic_squared",
-    "hecke_recursion_residual",
     "xi_real",
-    "xi_global",
     "evaluate_point",
     "verify_bounds",
     "lp_probe",
@@ -93,17 +90,6 @@ def xi_padic_squared(p: int, n: int) -> Fraction:
     q = Fraction(p)
     lin = (n * (1 - 1 / q) + (1 + 1 / q)) / (1 + 1 / q)
     return lin * lin / q**n
-
-
-def hecke_recursion_residual(p: int, n: int) -> float:
-    """|(q phi(n+1) + phi(n-1))/(q+1) - lambda phi(n)| with the tempered
-    eigenvalue lambda = 2 sqrt(q)/(q+1); vanishes identically for n >= 1."""
-    if n < 1:
-        raise MixingError("recursion applies for n >= 1")
-    q = float(p)
-    lam = 2.0 * math.sqrt(q) / (q + 1.0)
-    lhs = (q * xi_padic(p, n + 1) + xi_padic(p, n - 1)) / (q + 1.0)
-    return abs(lhs - lam * xi_padic(p, n))
 
 
 def _agm(a: float, b: float) -> float:
@@ -195,12 +181,6 @@ def evaluate_point(g: PrimitiveMatrix) -> list[XiEvaluation]:
     return out
 
 
-def xi_global(g: PrimitiveMatrix) -> float:
-    """Product of the local decay kernels over all places (finitely many
-    differ from 1)."""
-    return math.prod(ev.xi for ev in evaluate_point(g))
-
-
 # --------------------------------------------------------------------------
 # bound verification
 
@@ -232,12 +212,22 @@ def lp_probe(
     """
     if not _is_prime(p):
         raise MixingError(f"{p} is not prime")
+    # (vol(U a_k U), xi_p(k)) for every k, shared by every exponent; the
+    # volume is zeta.cell_volume(p, k) as an int, 1 or p^(k-1)(p+1)
+    try:
+        cells = [
+            (float(p ** (k - 1) * (p + 1) if k else 1), xi_padic(p, k)) for k in range(terms + 1)
+        ]
+    except OverflowError:
+        raise MixingError(
+            f"the L^p probe's cell volumes at p = {p} overflow a float within {terms} terms"
+        ) from None
     out: dict[float, list[float]] = {}
     for e in exponents:
         acc = 0.0
         snaps = []
-        for k in range(terms + 1):
-            acc += float(cell_volume(p, k)) * xi_padic(p, k) ** e
+        for k, (vol, xi) in enumerate(cells):
+            acc += vol * xi**e
             if k % _LP_REPORT_EVERY == 0 and k > 0:
                 snaps.append(acc)
         out[float(e)] = snaps

@@ -44,7 +44,6 @@ __all__ = [
     "ZetaError",
     "local_factor_pgl2_adjoint",
     "cell_volume",
-    "cell_volume_oracle",
     "model_cell_probabilities",
     "archimedean_factor",
     "residue_estimate",
@@ -55,7 +54,6 @@ __all__ = [
 
 GROWTH_EXPONENT = Fraction(2)  # pole location of the PGL_2 adjoint zeta
 _CELL_KMAX = 12  # a local factor tabulates the cell volumes of k <= 12
-_ORACLE_GUARD = 10**6  # largest p^k whose cells cell_volume_oracle counts
 _RESIDUE_DPS = 50  # working decimal digits of the residue extrapolation
 # smallest fit grid: its points, and its largest over smallest threshold
 _FIT_MIN_POINTS, _FIT_MIN_SPAN = 5, 10.0
@@ -122,30 +120,6 @@ def local_factor_pgl2_adjoint(p: int) -> LocalFactor:
         q=p,
         cell_volumes=tuple(cell_volume(p, k) for k in range(_CELL_KMAX + 1)),
     )
-
-
-def cell_volume_oracle(p: int, k: int) -> Fraction:
-    """Cell volume by counting lattice classes, independent of the formula.
-
-    Cosets of U inside U a_k U correspond to index-p^k sublattices of Z^2
-    with cyclic quotient.  Sublattices are enumerated by Hermite bases
-    [[p^a, b], [0, p^(k-a)]] with 0 <= b < p^a; the quotient is cyclic of
-    order p^k exactly when the entry gcd is 1 (for 2x2 the first elementary
-    divisor is the content).
-    """
-    if k < 0:
-        raise ZetaError("cell level must be >= 0")
-    if k == 0:
-        return Fraction(1)
-    if p**k > _ORACLE_GUARD:
-        raise ZetaError(f"p^k = {p ** k} exceeds the enumeration guard {_ORACLE_GUARD}")
-    count = 0
-    for a in range(k + 1):
-        d1, d2 = p**a, p ** (k - a)
-        for b in range(d1):
-            if math.gcd(math.gcd(d1, b), d2) == 1:
-                count += 1
-    return Fraction(count)
 
 
 def model_cell_probabilities(p: int, kmax: int) -> tuple[dict[int, Fraction], Fraction]:

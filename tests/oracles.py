@@ -1,0 +1,52 @@
+"""Reference computations that only the tests use: each checks a closed
+form of the library against an independent derivation."""
+
+import math
+from fractions import Fraction
+
+from heightcount.heights import PrimitiveMatrix
+from heightcount.mixing import MixingError, evaluate_point, xi_padic
+from heightcount.zeta import ZetaError
+
+_ORACLE_GUARD = 10**6  # largest p^k whose cells cell_volume_oracle counts
+
+
+def cell_volume_oracle(p: int, k: int) -> Fraction:
+    """Cell volume by counting lattice classes, independent of the formula.
+
+    Cosets of U inside U a_k U correspond to index-p^k sublattices of Z^2
+    with cyclic quotient.  Sublattices are enumerated by Hermite bases
+    [[p^a, b], [0, p^(k-a)]] with 0 <= b < p^a; the quotient is cyclic of
+    order p^k exactly when the entry gcd is 1 (for 2x2 the first elementary
+    divisor is the content).
+    """
+    if k < 0:
+        raise ZetaError("cell level must be >= 0")
+    if k == 0:
+        return Fraction(1)
+    if p**k > _ORACLE_GUARD:
+        raise ZetaError(f"p^k = {p ** k} exceeds the enumeration guard {_ORACLE_GUARD}")
+    count = 0
+    for a in range(k + 1):
+        d1, d2 = p**a, p ** (k - a)
+        for b in range(d1):
+            if math.gcd(math.gcd(d1, b), d2) == 1:
+                count += 1
+    return Fraction(count)
+
+
+def hecke_recursion_residual(p: int, n: int) -> float:
+    """|(q phi(n+1) + phi(n-1))/(q+1) - lambda phi(n)| with the tempered
+    eigenvalue lambda = 2 sqrt(q)/(q+1); vanishes identically for n >= 1."""
+    if n < 1:
+        raise MixingError("recursion applies for n >= 1")
+    q = float(p)
+    lam = 2.0 * math.sqrt(q) / (q + 1.0)
+    lhs = (q * xi_padic(p, n + 1) + xi_padic(p, n - 1)) / (q + 1.0)
+    return abs(lhs - lam * xi_padic(p, n))
+
+
+def xi_global(g: PrimitiveMatrix) -> float:
+    """Product of the local decay kernels over all places (finitely many
+    differ from 1)."""
+    return math.prod(ev.xi for ev in evaluate_point(g))

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion
+from oracles import cell_volume_oracle, hecke_recursion_residual
 
 from heightcount.enumeration import (
     cartan_statistics,
@@ -22,11 +23,10 @@ from heightcount.enumeration import (
     scan_pgl2_adjoint,
 )
 from heightcount.heights import MeasureConvention
-from heightcount.mixing import hecke_recursion_residual, lp_probe, verify_bounds
+from heightcount.mixing import lp_probe, verify_bounds
 from heightcount.rootdata import manin_invariants, named_root_system
 from heightcount.zeta import (
     calibrate_archimedean_scale,
-    cell_volume_oracle,
     local_factor_pgl2_adjoint,
     model_cell_probabilities,
     residue_estimate,

@@ -30,15 +30,23 @@ def test_exports_resolve_and_cover_public_definitions():
 
 def test_package_namespace_is_the_library_modules():
     # a fresh interpreter: importing heightcount.cli elsewhere in the
-    # session would add the cli submodule to the package namespace
+    # session would add the cli submodule to the package namespace.  The
+    # modules load on first access, each as the module of its own name.
     code = (
         "import heightcount\n"
-        "print(sorted(n for n in vars(heightcount) if not n.startswith('__')))\n"
+        "print(dir(heightcount))\n"
         "print(heightcount.__version__)\n"
+        f"print(all(getattr(heightcount, m).__name__ == 'heightcount.' + m for m in {MODULES!r}))\n"
+        "print(dir(heightcount))\n"
+        "print(hasattr(heightcount, 'cli'), hasattr(heightcount, 'scan_pgl2_adjoint'))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
     ).stdout.splitlines()
-    assert out[0] == str(sorted(MODULES))
+    namespace = str(sorted(MODULES + ["__version__"]))
+    assert out[0] == namespace
     assert out[1] == importlib.import_module("heightcount").__version__
+    assert out[2] == "True"
+    assert out[3] == namespace
+    assert out[4] == "False False"

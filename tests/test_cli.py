@@ -305,16 +305,17 @@ def _spectrum_csv(spectrum) -> str:
 
 
 def _count_calls(monkeypatch, name):
-    from heightcount import cli
+    # the CLI looks the counting functions up in enumeration at each call
+    from heightcount import enumeration
 
     calls = []
-    real = getattr(cli, name)
+    real = getattr(enumeration, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, name, counted)
+    monkeypatch.setattr(enumeration, name, counted)
     return calls
 
 
@@ -599,6 +600,14 @@ def test_main_mixing_probe_singular_exit_2(tmp_path):
     assert main(argv) == 2
 
 
+def test_main_mixing_probe_float_overflow_exit_2(tmp_path, capsys):
+    # the L^p probe's cell volume 37^199 * 38 at its last term passes the
+    # float range; it used to escape as an OverflowError traceback
+    argv = ["--cache", str(tmp_path / "c.jsonl"), "mixing-probe", "--prime", "37", "--max-exponent", "3"]
+    assert _exit_2_in_one_line(argv, capsys)
+    assert not (tmp_path / "c.jsonl").exists()
+
+
 def _rejected_without_record(tmp_path, argv):
     """True when ``argv`` exits 2 and leaves a seeded cache byte-identical."""
     cache = tmp_path / "c.jsonl"
@@ -835,6 +844,43 @@ def test_import_loads_no_scipy():
         "import sys\n"
         "import heightcount.cli\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n",
+        stdout=subprocess.PIPE,
+    )
+    out, _ = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert out.strip() == "[]"
+
+
+def test_cache_hit_loads_no_numpy_or_mpmath(tmp_path):
+    # a fresh interpreter answering every query from a filled cache prints
+    # the miss's bytes without loading numpy, mpmath or the enumerator
+    queries = [
+        ["zeta", "--residue"],
+        ["count", "--target", "pgl2-adjoint", "--grid", "16,64", "--primes", "2,3"],
+    ]
+    heavy = ("numpy", "mpmath", "heightcount.enumeration")
+    code = (
+        "import sys\n"
+        "from heightcount.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        f"print(sorted(m for m in {heavy!r} if m in sys.modules), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    for query in queries:
+        argv = ["--cache", str(tmp_path / "c.jsonl"), "--json"] + query
+        outs = []
+        for _ in range(2):  # a miss, then a hit
+            proc = _python(code, *argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            out, err = proc.communicate(timeout=60)
+            assert proc.returncode == 0, err
+            outs.append((out, err))
+        (miss, _), (hit, loaded) = outs
+        assert hit == miss
+        assert loaded.strip() == "[]"
+    proc = _python(
+        "import sys\n"
+        "import heightcount\n"
+        "print(sorted(m for m in ('numpy', 'mpmath') if m in sys.modules))\n",
         stdout=subprocess.PIPE,
     )
     out, _ = proc.communicate(timeout=60)

@@ -12,14 +12,13 @@ from heightcount.mixing import (
     MixingError,
     XiEvaluation,
     evaluate_point,
-    hecke_recursion_residual,
     lp_probe,
     verify_bounds,
-    xi_global,
     xi_padic,
     xi_padic_squared,
     xi_real,
 )
+from oracles import hecke_recursion_residual, xi_global
 
 
 # --------------------------------------------------------------------------
@@ -219,6 +218,33 @@ def test_lp_probe_trends():
     deltas = [b - a for a, b in zip(mid, mid[1:])]
     assert all(d > 0 for d in deltas)
     assert deltas[-1] < deltas[0]  # converging, if slowly
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 31])
+def test_lp_probe_matches_fraction_volume_sums(p):
+    # the per-term expression lp_probe used before it shared one int volume
+    # and one kernel value per k across exponents: the sums must not move
+    # by a bit, since cached mixing-probe payloads are compared byte for byte
+    from heightcount.zeta import cell_volume
+
+    exponents = (2.0, 2.5, 3.0)
+    want = {}
+    for e in exponents:
+        acc, snaps = 0.0, []
+        for k in range(201):
+            acc += float(cell_volume(p, k)) * xi_padic(p, k) ** e
+            if k % 20 == 0 and k > 0:
+                snaps.append(acc)
+        want[e] = snaps
+    assert repr(lp_probe(p, exponents, 200)) == repr(want)
+
+
+def test_lp_probe_float_overflow_is_a_mixing_error():
+    # 37^199 * 38, the cell volume of term 200, is past the float range
+    lp_probe(31)
+    with pytest.raises(MixingError, match="overflow"):
+        lp_probe(37)
+    assert len(lp_probe(37, terms=180)[2.0]) == 9
 
 
 def test_lp_probe_rejects_non_primes():

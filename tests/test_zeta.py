@@ -14,13 +14,13 @@ from heightcount.zeta import (
     archimedean_factor,
     calibrate_archimedean_scale,
     cell_volume,
-    cell_volume_oracle,
     local_factor_pgl2_adjoint,
     model_cell_probabilities,
     primes_below,
     residue_estimate,
     tauberian_fit,
 )
+from oracles import cell_volume_oracle
 
 
 # --------------------------------------------------------------------------
