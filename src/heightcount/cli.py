@@ -696,9 +696,13 @@ def main(argv: list[str] | None = None) -> int:
                 _write_csv(fh, config, scan_cache)
         return EXIT_OK
     except (ValueError, OSError) as exc:  # every library error is a ValueError
-        # a guard can trip only in a run that loaded enumeration
-        enumeration = sys.modules.get("heightcount.enumeration")
-        if enumeration and isinstance(exc, enumeration.ResourceGuardError):
+        # a guard can trip only in a run that loaded its module
+        guards = tuple(
+            mod.ResourceGuardError
+            for mod in map(sys.modules.get, ("heightcount.enumeration", "heightcount.zeta"))
+            if mod
+        )
+        if isinstance(exc, guards):
             print(f"resource guard: {exc}", file=sys.stderr)
             return EXIT_GUARD
         print(f"invalid configuration: {exc}", file=sys.stderr)

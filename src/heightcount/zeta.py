@@ -12,7 +12,12 @@ model.  The full Euler product over primes equals zeta(s-1) zeta(s)/zeta(2s),
 with a simple pole at s = 2 coming entirely from the zeta(s-1) part.
 Regularizing each factor by (1 - p^{1-s}) turns it into exactly 1 + p^{-s},
 so the residue multiplies those closed forms directly and restores the pole
-through the zeta(s-1) comparison factor.
+through the zeta(s-1) comparison factor.  That product runs in fixed-point
+Python integers with one exponential per prime: on a sample grid with
+smallest s - 2 = h0, p^{-s} is p^{-2} times a power of E = p^{-h0} times
+a remainder factor that is a short Taylor series on halving grids.  It
+agrees with one 50-digit mp.exp per prime and sample to about 1e-49
+relative, so the residue's floats are the same as with that product.
 
 At the real place the group integral in KAK coordinates, parametrized by
 the singular-value ratio u >= 1 with radial density (u - 1/u)/u du and both
@@ -34,6 +39,8 @@ from typing import Sequence
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import log_int_fixed
+from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
 
 from .heights import MeasureConvention, _is_prime
 
@@ -42,6 +49,7 @@ __all__ = [
     "ResidueEstimate",
     "FitResult",
     "ZetaError",
+    "ResourceGuardError",
     "local_factor_pgl2_adjoint",
     "cell_volume",
     "model_cell_probabilities",
@@ -55,12 +63,24 @@ __all__ = [
 GROWTH_EXPONENT = Fraction(2)  # pole location of the PGL_2 adjoint zeta
 _CELL_KMAX = 12  # a local factor tabulates the cell volumes of k <= 12
 _RESIDUE_DPS = 50  # working decimal digits of the residue extrapolation
+# largest residue cutoff: the prime sieve below it takes 100 MB
+_RESIDUE_CUTOFF_LIMIT = 10**8
+# fixed-point bits of the Euler product beyond mp.prec: its pi(P) < 2^23
+# factors each round by a few ulps, and E^k's powering loses a few more
+_GUARD_BITS = 32
+# a remainder exponent below 2^-16 is summed as a Taylor series (at most
+# about a dozen terms at 50 digits), a larger one calls exp_fixed
+_TAYLOR_MIN_BITS = 16
 # smallest fit grid: its points, and its largest over smallest threshold
 _FIT_MIN_POINTS, _FIT_MIN_SPAN = 5, 10.0
 
 
 class ZetaError(ValueError):
     pass
+
+
+class ResourceGuardError(ZetaError):
+    """The requested residue cutoff exceeds its size limit."""
 
 
 def primes_below(n: int) -> list[int]:
@@ -162,14 +182,55 @@ def archimedean_factor(s: float, convention: MeasureConvention | None = None) ->
 
 def _finite_parts(P: int, ss: Sequence[float]) -> list[mp.mpf]:
     """prod_{p<P} (1 + p^{-s}) for each s in ss, at the working precision:
-    the Euler product regularized by (1 - p^{1-s}).  Primes and their logs
-    are computed once for all s."""
-    neg_logs = [-mp.log(p) for p in primes_below(P)]
-    out = []
-    for s in ss:
-        sm = mp.mpf(s)
-        out.append(mp.fprod(1 + mp.exp(sm * nl) for nl in neg_logs))
-    return out
+    the Euler product regularized by (1 - p^{1-s}).
+
+    The product runs in Python-integer fixed point with mp.prec +
+    _GUARD_BITS fractional bits and one exponential per prime.  With
+    h = s - 2, h0 = min h and k = round(h/h0),
+
+        p^{-s} = p^{-2} E^k exp(-(h - k h0) log p),   E = p^{-h0},
+
+    where E^k is a product of the squares E^(2^j).  The remainder
+    h - k h0 is an exact binary number: on a halving grid such as the CLI's
+    2 + 0.4/2^j it is a few ulps of s, and its exponential is a short Taylor
+    series; a larger one goes through the full fixed-point exp.  Each
+    factor is off by a few units of 2^-(mp.prec + _GUARD_BITS), so the
+    product agrees with one mp.exp per prime and sample (the oracle in
+    tests/oracles.py) to about 1e-49 relative.  That is far below what the
+    floats of ``residue_estimate`` resolve, and they come out identical.
+    """
+    wp = mp.mp.prec + _GUARD_BITS
+    one = 1 << wp
+    ln2 = ln2_fixed(wp)
+    hs = [Fraction(s) - 2 for s in ss]
+    h0 = min(hs)
+    ks = [round(h / h0) for h in hs]
+    nsq = max(ks).bit_length()
+    bits = [[j for j in range(nsq) if k >> j & 1] for k in ks]
+    rests = [int((h - k * h0) * one) for h, k in zip(hs, ks)]  # exact
+    taylor_max = one >> _TAYLOR_MIN_BITS
+    acc = [one] * len(ss)
+    for p in primes_below(P):
+        log_p = log_int_fixed(p, wp)
+        squares = [exp_fixed(-(h0.numerator * log_p) // h0.denominator, wp, ln2)]
+        for _ in range(1, nsq):
+            squares.append(squares[-1] ** 2 >> wp)
+        p_2 = one // (p * p)
+        for i, (js, rest) in enumerate(zip(bits, rests)):
+            t = p_2
+            for j in js:
+                t = t * squares[j] >> wp
+            x = -rest * log_p >> wp  # -(h - k h0) log p
+            if abs(x) < taylor_max:  # t exp(x) = sum of t x^n / n!
+                term, n = t, 0
+                while term:
+                    n += 1
+                    term = (term * x >> wp) // n
+                    t += term
+            else:
+                t = t * exp_fixed(x, wp, ln2) >> wp
+            acc[i] = acc[i] * (one + t) >> wp
+    return [mp.mpf((a, -wp)) for a in acc]
 
 
 def _neville_at_zero(hs: Sequence[mp.mpf], vs: Sequence[mp.mpf]) -> list[mp.mpf]:
@@ -208,7 +269,8 @@ def residue_estimate(
     strictly decreasing sample grid s -> 2+ and Richardson-extrapolates in
     (s - 2).  The truncation beyond P is controlled by p^{-s} <= p^{-2}; its
     aggregate effect is reported as tail_bound.  A non-convergent
-    extrapolation is flagged, never silently returned.  P must be >= 2.
+    extrapolation is flagged, never silently returned.  P must be >= 2;
+    above 10^8 (a 100 MB prime sieve) it raises ResourceGuardError.
     Since (s-2) zeta(s-1) -> 1, the limit has the closed form
     prod_{p<P}(1 + p^{-2}) Z_oo(2), which the extrapolation matches to
     1.5e-7 relative at P = 2000.
@@ -220,6 +282,10 @@ def residue_estimate(
         raise ZetaError("samples must strictly decrease toward 2")
     if P < 2:
         raise ZetaError(f"residue cutoff must be >= 2, got {P}")
+    if P > _RESIDUE_CUTOFF_LIMIT:
+        raise ResourceGuardError(
+            f"residue cutoff {P} exceeds the limit {_RESIDUE_CUTOFF_LIMIT}"
+        )
     with mp.workdps(_RESIDUE_DPS):
         hs = [mp.mpf(s) - 2 for s in ss]
         vs = []

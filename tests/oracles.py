@@ -4,9 +4,11 @@ form of the library against an independent derivation."""
 import math
 from fractions import Fraction
 
+import mpmath as mp
+
 from heightcount.heights import PrimitiveMatrix
 from heightcount.mixing import MixingError, evaluate_point, xi_padic
-from heightcount.zeta import ZetaError
+from heightcount.zeta import ZetaError, primes_below
 
 _ORACLE_GUARD = 10**6  # largest p^k whose cells cell_volume_oracle counts
 
@@ -50,3 +52,11 @@ def xi_global(g: PrimitiveMatrix) -> float:
     """Product of the local decay kernels over all places (finitely many
     differ from 1)."""
     return math.prod(ev.xi for ev in evaluate_point(g))
+
+
+def finite_parts_oracle(P: int, ss) -> list:
+    """prod_{p<P} (1 + p^{-s}) for each s in ss with one mp.exp per prime
+    and sample at the working precision: the product that
+    ``zeta._finite_parts`` computes in fixed point."""
+    neg_logs = [-mp.log(p) for p in primes_below(P)]
+    return [mp.fprod(1 + mp.exp(mp.mpf(s) * nl) for nl in neg_logs) for s in ss]

@@ -723,6 +723,27 @@ def test_zeta_cutoff_keys_only_the_residue(tmp_path, capsys):
     assert len(cache.read_text().splitlines()) == 3
 
 
+def test_default_residue_payload_is_pinned(tmp_path, capsys):
+    assert main(["--cache", str(tmp_path / "c.jsonl"), "--json", "zeta", "--residue"]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["residue"] == {
+        "converged": True,
+        "cutoff": 2000,
+        "error": 0.001035775578469377,
+        "value": 2.026305197661619,
+    }
+
+
+def test_main_residue_cutoff_above_the_limit_exit_3_without_record(tmp_path, capsys):
+    cache = tmp_path / "c.jsonl"
+    assert main(["--cache", str(cache), "invariants", "--type", "A2"]) == 0
+    before = cache.read_bytes()
+    capsys.readouterr()
+    code = main(["--cache", str(cache), "zeta", "--residue", "--cutoff", str(10**11)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("resource guard:")
+    assert cache.read_bytes() == before
+
+
 @pytest.mark.parametrize("cutoff", ["1", "0", "-5"])
 def test_main_residue_cutoff_below_2_exit_2(tmp_path, cutoff):
     assert _rejected_without_record(tmp_path, ["zeta", "--residue", "--cutoff", cutoff])

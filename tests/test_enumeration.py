@@ -49,33 +49,40 @@ def brute_projective(n, T):
 
 # The enumerator count_projective used before the Moebius identity:
 # canonical representatives (first nonzero entry positive) with the last
-# coordinate vectorized.  Kept here as an exact oracle.
+# two coordinates vectorized.  Kept here as an exact oracle.
 
 
 def recursive_projective(n, T):
     """Height counts of P^n(Q) points with height < T, by enumeration.
 
-    Height and gcd are even in the last coordinate, so it runs over y >= 0
-    with y > 0 counted for both signs whenever the prefix already fixed
-    the canonical sign.
+    The first n - 1 coordinates are enumerated one by one; the last two,
+    (x, y), run as a numpy box over x, y >= 0.  Height and gcd are even in
+    each of them, so a nonzero x or y stands for both of its signs once the
+    prefix has fixed the canonical sign.  With no sign fixed yet, x > 0
+    fixes it, and x = 0 leaves y > 0 as the canonical sign.
     """
     if T == 1:
         return {}
-    last = np.arange(0, T, dtype=np.int64)
+    ys = np.arange(T, dtype=np.int64)
+    wy = 1 + (ys > 0)
+    rows = max(1, 2**16 // T)  # x rows per block, to bound memory at large T
     buckets = np.zeros(T, dtype=np.int64)
 
+    def box(prefix_gcd, prefix_max, sign_fixed):
+        for lo in range(0, T, rows):
+            xs = ys[lo : lo + rows, None]
+            ok = np.gcd(np.gcd(prefix_gcd, xs), ys) == 1
+            h = np.maximum(np.maximum(prefix_max, xs), ys)
+            if sign_fixed:
+                w = (1 + (xs > 0)) * wy
+            else:
+                w = np.where(xs > 0, wy, 1)
+            w = np.broadcast_to(w, ok.shape)
+            buckets[:] += np.bincount(h[ok], weights=w[ok], minlength=T).astype(np.int64)
+
     def rec(prefix_gcd, prefix_max, depth, sign_fixed):
-        if depth == n:
-            if not sign_fixed:
-                buckets[1] += 1  # the single point (0, ..., 0, 1)
-                return
-            g = np.gcd(prefix_gcd, last)
-            h = np.maximum(prefix_max, last)
-            ok = g == 1
-            hsel = h[ok]
-            np.add(buckets, 2 * np.bincount(hsel, minlength=T), out=buckets)
-            if ok[0]:  # y = 0 has no sign partner
-                buckets[prefix_max] -= 1
+        if depth == n - 1:
+            box(prefix_gcd, prefix_max, sign_fixed)
             return
         lo = 0 if not sign_fixed else -(T - 1)
         for x in range(lo, T):

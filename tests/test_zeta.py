@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from heightcount import zeta
 from heightcount.heights import MeasureConvention
 from heightcount.zeta import (
+    ResourceGuardError,
     ZetaError,
     _finite_parts,
     _neville_at_zero,
@@ -20,7 +22,7 @@ from heightcount.zeta import (
     residue_estimate,
     tauberian_fit,
 )
-from oracles import cell_volume_oracle
+from oracles import cell_volume_oracle, finite_parts_oracle
 
 
 # --------------------------------------------------------------------------
@@ -222,6 +224,38 @@ def test_residue_matches_rational_form_oracle(P, include_archimedean):
     est = residue_estimate(P, grid, include_archimedean=include_archimedean)
     assert est.value == pytest.approx(value, rel=1e-12, abs=0)
     assert est.error == pytest.approx(error, rel=1e-12, abs=0)
+
+
+CLI_GRID = [2 + 0.4 / 2**j for j in range(6)]
+
+
+@pytest.mark.parametrize(
+    "P, grid",
+    [pytest.param(P, CLI_GRID, id=f"{P}-cli") for P in (2, 3, 200, 2000, 10000)]
+    + [
+        pytest.param(2000, g, id="2000-" + ",".join(map(str, g)))
+        for g in ([2.7, 2.31, 2.1001], [3.9, 2.5, 2.0001], [2.3, 2.2, 2.1])
+    ],
+)
+def test_residue_floats_equal_the_exp_product_oracle(monkeypatch, P, grid):
+    # the fixed-point product is the oracle's to far more digits than a
+    # float holds, and the estimate run on either has equal floats
+    with mp.workdps(50):
+        for fixed, ref in zip(_finite_parts(P, grid), finite_parts_oracle(P, grid)):
+            assert abs(fixed / ref - 1) < mp.mpf("1e-45")
+    est = residue_estimate(P, grid)
+    monkeypatch.setattr(zeta, "_finite_parts", finite_parts_oracle)
+    ref = residue_estimate(P, grid)
+    assert (est.value, est.error, est.converged) == (ref.value, ref.error, ref.converged)
+    assert est.samples == ref.samples
+
+
+def test_residue_cutoff_above_the_limit_is_refused_before_the_sieve(monkeypatch):
+    monkeypatch.setattr(zeta, "primes_below", None)  # any call would fail
+    with pytest.raises(ResourceGuardError, match="cutoff"):
+        residue_estimate(10**11, CLI_GRID)
+    with pytest.raises(ResourceGuardError):
+        residue_estimate(10**8 + 1, CLI_GRID)
 
 
 def test_residue_of_zeta_surrogate_is_one():
