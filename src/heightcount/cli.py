@@ -32,7 +32,6 @@ import argparse
 import contextlib
 import functools
 import hashlib
-import itertools
 import json
 import os
 import random
@@ -281,57 +280,58 @@ class ResultCache:
 # uses itself, so a run answered from the cache loads neither.
 
 
-def _spectrum_text(spectrum) -> str:
-    """The lines "h,c" in ascending h, formatted in one call: the body of
-    both the spectrum digest and the --csv file."""
-    items = sorted(spectrum.counts.items())
-    return "\n".join(["%d,%d"] * len(items)) % tuple(itertools.chain.from_iterable(items))
-
-
-def _spectrum_digest(spectrum) -> str:
-    return hashlib.sha256(_spectrum_text(spectrum).encode()).hexdigest()
-
-
-def _scan_text(scans: dict, top: int, T: int) -> str:
-    """``_spectrum_text`` of the scan at top below T: a prefix of the lines
-    of the whole scan, which are formatted once per run."""
+def _scan_text(scans: dict, key: tuple, counts, T: int) -> str:
+    """The lines "h,c" of the nonzero counts[h] with h < T in ascending h,
+    the body of both the spectrum digest and the --csv file: a prefix of
+    the lines of the whole spectrum of the run's count or scan
+    ``scans[key]``, which are formatted once per run."""
     import numpy as np
 
-    if ("text", top) not in scans:
-        counts = scans["pgl2", top].height_counts
+    if ("text", key) not in scans:
         hs = np.flatnonzero(counts)
         pairs = np.stack([hs, counts[hs]], axis=1).ravel().tolist()
-        scans["text", top] = hs, ("\n".join(["%d,%d"] * len(hs)) % tuple(pairs)).split("\n")
-    hs, lines = scans["text", top]
+        scans["text", key] = hs, ("\n".join(["%d,%d"] * len(hs)) % tuple(pairs)).split("\n")
+    hs, lines = scans["text", key]
     return "\n".join(lines[: int(np.searchsorted(hs, T))])
 
 
 def _count(target: str, T: int, top: int, scans: dict, primes: tuple[int, ...] = ()):
     """A count target's total below T, a function giving the text of the
     spectrum its payload digests, and for pgl2-adjoint the Cartan
-    histograms below T of ``primes``, from the run's one scan or count at
-    ``top``, the top of its grid, kept in ``scans``."""
+    histograms below T of ``primes`` (per-k arrays), from the run's one
+    scan or count at ``top``, the top of its grid, kept in ``scans``."""
     from .enumeration import convolve_counts, count_projective, scan_pgl2_adjoint
 
     if target.startswith("projective:"):
-        n = int(target.split(":", 1)[1])
-        if ("projective", n, top) not in scans:
-            scans["projective", n, top] = count_projective(n, top)
-        spectrum = scans["projective", n, top].below(T)
-        return spectrum.total, lambda: _spectrum_text(spectrum), {}
+        key = "projective", int(target.split(":", 1)[1]), top
+        if key not in scans:
+            scans[key] = count_projective(key[1], top)
+        full = scans[key]
+        return full.below(T).total, lambda: _scan_text(scans, key, full.counts, T), {}
     if target.startswith("product-pgl2:"):
         w1, w2 = (int(x) for x in target.split(":", 1)[1].split(","))
         primes = ()  # a product has no histograms: any scan at top serves
     elif target != "pgl2-adjoint":
         raise ConfigError(f"unknown target {target!r}")
-    scan = scans.get(("pgl2", top))
+    key = "pgl2", top
+    scan = scans.get(key)
     if scan is None or not set(primes) <= scan.joint.keys():
-        scan = scans["pgl2", top] = scan_pgl2_adjoint(top, primes)
+        scan = scans[key] = scan_pgl2_adjoint(top, primes)
     if target == "pgl2-adjoint":
-        total = int(scan.height_counts[:T].sum())
-        return total, lambda: _scan_text(scans, top, T), {p: scan.histogram(p, T) for p in primes}
+        hists = {p: scan.histogram(p, T) for p in primes}
+        return scan.spectrum(T).total, lambda: _scan_text(scans, key, scan.height_counts, T), hists
     spectrum = scan.spectrum()
-    return convolve_counts(spectrum, spectrum, w1, w2, T), lambda: _scan_text(scans, top, top), {}
+    total = convolve_counts(spectrum, spectrum, w1, w2, T)
+    return total, lambda: _scan_text(scans, key, spectrum.counts, top), {}
+
+
+def _fraction(text: str) -> Fraction:
+    """An exact rational option value: Fraction(text), where a zero
+    denominator is a configuration error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ConfigError(f"zero denominator in {text!r}") from None
 
 
 def payload_invariants(params: dict, T: int, top: int, scans: dict) -> dict:
@@ -361,7 +361,7 @@ def payload_invariants(params: dict, T: int, top: int, scans: dict) -> dict:
             raise ConfigError("--weight adjoint needs a named --type")
         m = [Fraction(x) for x in adjoint_weight_root_coords(params["type"])]
     else:
-        fund = [Fraction(x) for x in weight.split(",")]
+        fund = [_fraction(x) for x in weight.split(",")]
         m = list(weight_to_root_basis(rs, fund))
     inv = manin_invariants(rs, m, gal)
     return {
@@ -392,7 +392,7 @@ def payload_count(params: dict, T: int, top: int, scans: dict) -> dict:
         "total": total,
         "spectrum_digest": hashlib.sha256(text().encode()).hexdigest(),
         "histograms": {
-            str(p): {str(k): c for k, c in hist.freq.items()} for p, hist in hists.items()
+            str(p): {str(k): c for k, c in enumerate(hist.tolist()) if c} for p, hist in hists.items()
         },
     }
 
@@ -437,7 +437,7 @@ def payload_fit(params: dict, T: int, top: int, scans: dict) -> dict:
     grid = [int(x) for x in params["count_grid"].split(",") if x]
     if min(grid, default=1) < 1:
         raise ConfigError("grid points must be >= 1")
-    a = Fraction(params["a"])
+    a = _fraction(params["a"])
     b = int(params["b"])
     counts = [(t, _count(params["target"], t, max(grid), scans)[0]) for t in grid]
     fit = tauberian_fit(counts, a, b)

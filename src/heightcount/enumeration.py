@@ -13,12 +13,14 @@ Three targets are counted at desk scale:
 * products PGL_2 x PGL_2 with weighted height H1^w1 H2^w2, counted exactly
   by convolving two single-factor height spectra.
 
-Counts are bucketed by exact integer height (a HeightSpectrum), which is a
-sufficient statistic for every threshold T' <= T and for convolutions.  The
-PGL_2 scan also records, per tracked prime p, the joint distribution of
-(height, k) where k is the middle elementary-divisor exponent of the
-adjoint image at p -- equivalently val_p(det g) for primitive g -- feeding
-the local equidistribution checks.
+Counts are bucketed by exact integer height in one array indexed by height
+(a HeightSpectrum: counts[h] for h below the threshold, counts[0] = 0;
+int64 for PGL_2, Python integers for P^n), which is a sufficient statistic
+for every threshold T' <= T, read as the prefix counts[:T'], and for
+convolutions.  The PGL_2 scan also records, per tracked prime p, the joint
+distribution of (k, height) where k is the middle elementary-divisor
+exponent of the adjoint image at p -- equivalently val_p(det g) for
+primitive g -- feeding the local equidistribution checks.
 
 Both PGL_2 counts run over the absolute entries (x, y, z, w) = (|a|, |b|,
 |c|, |d|) and the sign eps of ad * bc, on which the height and |det| alone
@@ -94,7 +96,6 @@ from .zeta import primes_below
 
 __all__ = [
     "HeightSpectrum",
-    "CartanHistogram",
     "PGL2Scan",
     "EnumerationError",
     "ResourceGuardError",
@@ -125,60 +126,44 @@ class IncompleteSpectrumError(EnumerationError):
     """A spectrum does not cover the height range a computation needs."""
 
 
+def _check_below(T: int | None, threshold: int) -> int:
+    """T (default: threshold), once 1 <= T <= threshold holds."""
+    T = threshold if T is None else T
+    if T < 1:
+        raise EnumerationError("T must be >= 1")
+    if T > threshold:
+        raise IncompleteSpectrumError(f"spectrum complete below {threshold}, asked for {T}")
+    return T
+
+
 @dataclass
 class HeightSpectrum:
-    """Multiset {integer height -> point count}, complete for heights < threshold."""
+    """Point counts by integer height: counts[h] for 0 <= h < threshold,
+    with counts[0] = 0; complete below threshold = len(counts)."""
 
-    counts: dict[int, int]
-    threshold: int
+    counts: np.ndarray
 
-    def __post_init__(self):
-        counts = self.counts
-        if counts and min(counts) < 1:
-            raise EnumerationError("height values must be >= 1")
-        if counts and min(counts.values()) < 0:
-            raise EnumerationError("counts must be non-negative")
-        self.counts = {h: c for h, c in counts.items() if c} if 0 in counts.values() else dict(counts)
+    @property
+    def threshold(self) -> int:
+        return len(self.counts)
 
     @property
     def total(self) -> int:
-        return sum(self.counts.values())
-
-    def count_below(self, T: int) -> int:
-        """Number of points with height < T; requires 1 <= T <= threshold."""
-        return self.below(T).total
+        return int(self.counts.sum())
 
     def below(self, T: int) -> "HeightSpectrum":
-        """The spectrum of the points with height < T; requires
+        """The spectrum of the points with height < T, a view; requires
         1 <= T <= threshold."""
-        if T < 1:
-            raise EnumerationError("T must be >= 1")
-        if T > self.threshold:
-            raise IncompleteSpectrumError(
-                f"spectrum complete below {self.threshold}, asked for {T}"
-            )
-        return HeightSpectrum({h: c for h, c in self.counts.items() if h < T}, threshold=T)
+        return HeightSpectrum(self.counts[: _check_below(T, self.threshold)])
 
 
-@dataclass
-class CartanHistogram:
-    """Per-prime frequencies of the middle elementary-divisor exponent of
-    the adjoint image, over all points counted."""
-
-    p: int
-    freq: dict[int, int]
-
-    @property
-    def total(self) -> int:
-        return sum(self.freq.values())
-
-
-def cartan_statistics(hist: CartanHistogram) -> dict[int, Fraction]:
-    """Empirical cell frequencies; exact rationals summing to 1."""
-    total = hist.total
+def cartan_statistics(per_k: np.ndarray) -> dict[int, Fraction]:
+    """Empirical cell frequencies of a histogram per_k[k]; exact rationals
+    summing to 1."""
+    total = int(per_k.sum())
     if total <= 0:
         raise EnumerationError("empty histogram")
-    return {k: Fraction(c, total) for k, c in sorted(hist.freq.items()) if c}
+    return {k: Fraction(c, total) for k, c in enumerate(per_k.tolist()) if c}
 
 
 # --------------------------------------------------------------------------
@@ -210,7 +195,8 @@ def count_projective(n: int, T: int) -> HeightSpectrum:
     for q in primes_below(T):
         # numpy reads overlapping operands as if copied first
         f[q::q] -= f[1 : (T - 1) // q + 1]
-    return HeightSpectrum({h: int(c) for h, c in enumerate(f) if h}, threshold=T)
+    f[0] = 0  # no point has height 0
+    return HeightSpectrum(f)
 
 
 # --------------------------------------------------------------------------
@@ -236,27 +222,16 @@ class PGL2Scan:
     joint: dict[int, np.ndarray]  # p -> shape (kmax+1, threshold)
     cells_visited: int = 0  # work done, not a result: kept out of payloads
 
-    def _below(self, T: int | None) -> int:
-        T = self.threshold if T is None else T
-        if T < 1:
-            raise EnumerationError("T must be >= 1")
-        if T > self.threshold:
-            raise IncompleteSpectrumError(
-                f"scan complete below {self.threshold}, asked for {T}"
-            )
-        return T
-
     def spectrum(self, T: int | None = None) -> HeightSpectrum:
-        T = self._below(T)
-        hs = np.flatnonzero(self.height_counts[:T])
-        return HeightSpectrum(dict(zip(hs.tolist(), self.height_counts[hs].tolist())), threshold=T)
+        """The counts below T (default: all), a view of ``height_counts``."""
+        return HeightSpectrum(self.height_counts[: _check_below(T, self.threshold)])
 
-    def histogram(self, p: int, T: int | None = None) -> CartanHistogram:
-        T = self._below(T)
+    def histogram(self, p: int, T: int | None = None) -> np.ndarray:
+        """The points below T (default: all) per k at the tracked prime p."""
+        T = _check_below(T, self.threshold)
         if p not in self.joint:
             raise EnumerationError(f"prime {p} was not tracked in this scan")
-        per_k = self.joint[p][:, :T].sum(axis=1)
-        return CartanHistogram(p=p, freq={int(k): int(c) for k, c in enumerate(per_k) if c})
+        return self.joint[p][:, :T].sum(axis=1)
 
 
 # --------------------------------------------------------------------------
@@ -787,14 +762,8 @@ def scan_pgl2_adjoint(
 
 def _int_kth_root(x: int, k: int) -> int:
     """floor(x^(1/k)) for x >= 0, exact."""
-    if x < 0:
-        raise EnumerationError("negative radicand")
-    if x == 0:
-        return 0
-    if k == 1:
-        return x
-    r = int(round(x ** (1.0 / k)))
-    while r > 0 and r**k > x:
+    r = x if k == 1 else round(x ** (1.0 / k))
+    while r**k > x:
         r -= 1
     while (r + 1) ** k <= x:
         r += 1
@@ -811,34 +780,21 @@ def convolve_counts(
     """#{(g, h): H(g)^w1 * H(h)^w2 < T}, exactly, from two spectra.
 
     For each height h2 in s2, the fiber count is the number of g with
-    H(g)^w1 <= (T-1) // h2^w2, read off prefix sums of s1.  Raises if either
-    spectrum is not complete over the range the threshold requires.
+    H(g)^w1 <= (T-1) // h2^w2: the prefix sum of s1 up to the height
+    floor(((T-1) // h2^w2)^(1/w1)).  Raises if either spectrum is not
+    complete over the range the threshold requires.
     """
     if w1 < 1 or w2 < 1:
         raise EnumerationError("weights must be positive integers")
     if T < 1:
         raise EnumerationError("T must be >= 1")
-    h2_max = _int_kth_root(T - 1, w2) if T > 1 else 0
-    if h2_max >= s2.threshold:
-        raise IncompleteSpectrumError(
-            f"second spectrum complete below {s2.threshold}, need heights up to {h2_max}"
-        )
-    h1_needed = _int_kth_root(T - 1, w1) if T > 1 else 0
-    if h1_needed >= s1.threshold:
-        raise IncompleteSpectrumError(
-            f"first spectrum complete below {s1.threshold}, need heights up to {h1_needed}"
-        )
-    hs1 = np.array(sorted(s1.counts), dtype=np.int64)
+    # each spectrum must hold every height its factor takes below T
+    c2 = s2.counts[: _check_below(_int_kth_root(T - 1, w2) + 1, s2.threshold)]
+    c1 = s1.counts[: _check_below(_int_kth_root(T - 1, w1) + 1, s1.threshold)]
     # Python ints in an object array: the prefix sums stay exact past 2^63
-    cum1 = np.cumsum(np.array([s1.counts[h] for h in hs1.tolist()], dtype=object))
-
+    cum1 = np.cumsum(c1, dtype=object)
     total = 0
-    for h2, c2 in s2.counts.items():
-        if h2 > h2_max:
-            continue
+    for h2 in np.flatnonzero(c2).tolist():
         budget = (T - 1) // (h2**w2)  # H1^w1 <= budget
-        h1_max = _int_kth_root(budget, w1)
-        idx = np.searchsorted(hs1, h1_max, side="right")
-        n1 = int(cum1[idx - 1]) if idx > 0 else 0
-        total += c2 * n1
+        total += int(c2[h2]) * cum1[_int_kth_root(budget, w1)]
     return total

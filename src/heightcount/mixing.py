@@ -212,6 +212,8 @@ def lp_probe(
     """
     if not _is_prime(p):
         raise MixingError(f"{p} is not prime")
+    if not all(map(math.isfinite, exponents)):
+        raise MixingError(f"L^p exponents must be finite, got {list(exponents)}")
     # (vol(U a_k U), xi_p(k)) for every k, shared by every exponent; the
     # volume is zeta.cell_volume(p, k) as an int, 1 or p^(k-1)(p+1)
     try:
@@ -251,6 +253,8 @@ def verify_bounds(
     """
     if m < 1:
         raise MixingError("m must be a positive integer")
+    if not all(map(math.isfinite, (eps, *lp_exponents))):
+        raise MixingError(f"eps {eps} and the L^p exponents {list(lp_exponents)} must be finite")
     if not _is_prime(lp_prime):
         raise MixingError(f"{lp_prime} is not prime")
     n_pts = 0

@@ -65,6 +65,9 @@ _CELL_KMAX = 12  # a local factor tabulates the cell volumes of k <= 12
 _RESIDUE_DPS = 50  # working decimal digits of the residue extrapolation
 # largest residue cutoff: the prime sieve below it takes 100 MB
 _RESIDUE_CUTOFF_LIMIT = 10**8
+# largest q^s of an exact local factor value, in bits: its numerator and
+# denominator then have at most 19,729 digits each
+_EXACT_BITS = 2**16
 # fixed-point bits of the Euler product beyond mp.prec: its pi(P) < 2^23
 # factors each round by a few ulps, and E^k's powering loses a few more
 _GUARD_BITS = 32
@@ -80,18 +83,20 @@ class ZetaError(ValueError):
 
 
 class ResourceGuardError(ZetaError):
-    """The requested residue cutoff exceeds its size limit."""
+    """A requested residue cutoff or exact value exceeds its size limit."""
 
 
-def primes_below(n: int) -> list[int]:
+def primes_below(n: int) -> np.ndarray:
+    """The primes p < n in ascending order: the sieve's index array, 8 bytes
+    a prime where a list of Python ints takes about 36."""
     if n <= 2:
-        return []
+        return np.zeros(0, dtype=np.int64)
     sieve = np.ones(n, dtype=bool)
     sieve[:2] = False
     for p in range(2, math.isqrt(n - 1) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    return [int(p) for p in np.nonzero(sieve)[0]]
+    return np.flatnonzero(sieve)
 
 
 # --------------------------------------------------------------------------
@@ -114,9 +119,12 @@ class LocalFactor:
     cell_volumes: tuple[Fraction, ...]
 
     def evaluate_exact(self, s: int) -> Fraction:
-        """Value at an integer s > 1, as an exact rational."""
+        """Value at an integer s > 1, as an exact rational; q^s must have
+        at most 2^16 bits."""
         if s <= 1:
             raise ZetaError("local factor diverges for s <= 1")
+        if s * math.log2(self.q) > _EXACT_BITS:
+            raise ResourceGuardError(f"{self.q}^{s} exceeds the exact limit of 2^16 bits")
         t = Fraction(1, self.q**s)
         return (1 + t) / (1 - self.q * t)
 
@@ -136,6 +144,7 @@ def local_factor_pgl2_adjoint(p: int) -> LocalFactor:
     """The exact local factor (1 + t)/(1 - q t) at q = p, with cell volumes."""
     if not _is_prime(p):
         raise ZetaError(f"{p} is not prime")
+    p = int(p)  # a numpy integer, as primes_below gives, would overflow the volumes
     return LocalFactor(
         q=p,
         cell_volumes=tuple(cell_volume(p, k) for k in range(_CELL_KMAX + 1)),
@@ -211,6 +220,7 @@ def _finite_parts(P: int, ss: Sequence[float]) -> list[mp.mpf]:
     taylor_max = one >> _TAYLOR_MIN_BITS
     acc = [one] * len(ss)
     for p in primes_below(P):
+        p = int(p)  # one Python int at a time: the fixed point needs them
         log_p = log_int_fixed(p, wp)
         squares = [exp_fixed(-(h0.numerator * log_p) // h0.denominator, wp, ln2)]
         for _ in range(1, nsq):

@@ -94,7 +94,7 @@ def test_criterion_2_schanuel_constant():
     const = 2.0 * mobius_inv_zeta2()
     worst = 0.0
     for t in (1000, 2000, 5000, 10**4):
-        ratio = spectrum.count_below(t) / t**2
+        ratio = spectrum.below(t).total / t**2
         worst = max(worst, abs(ratio / const - 1.0))
     elapsed = time.perf_counter() - t0
     ok = worst < 0.01 and elapsed < 60
@@ -171,14 +171,14 @@ def test_criterion_6_nonsaturated_fiber_sum(pgl2_scan_14):
 
     # per-fiber leading constant: the dominant fibers sit at budgets near T,
     # where the single-factor ratio at T itself is the right finite-size value
-    c1 = factor.count_below(T) / T**2
+    c1 = factor.below(T).total / T**2
     X = math.isqrt(T)
-    trunc = c1 * sum(c * h ** (-4.0) for h, c in factor.counts.items() if h <= X)
+    trunc = c1 * sum(c * h ** (-4.0) for h, c in enumerate(factor.counts.tolist()) if c and h <= X)
 
     # tail of the fiber sum beyond X, via partial summation with the
     # empirical envelope sup N(h)/h^2
-    hs = sorted(factor.counts)
-    cum = np.cumsum([factor.counts[h] for h in hs])
+    hs = np.flatnonzero(factor.counts).tolist()
+    cum = np.cumsum(factor.counts[hs])
     cmax = max(n / h**2 for h, n in zip(hs, cum))
     tail = c1 * 4 * cmax * sum(h ** (-3.0) for h in range(X + 1, 20 * X))
 

@@ -50,3 +50,21 @@ def test_package_namespace_is_the_library_modules():
     assert out[2] == "True"
     assert out[3] == namespace
     assert out[4] == "False False"
+
+
+def test_names_the_benchmark_reads():
+    # perfbench/ reads these names and values of the library: a deletion
+    # that would break the benchmark fails here as well as in its own job
+    from heightcount import cli, enumeration, heights, mixing, zeta
+
+    scan = enumeration.scan_pgl2_adjoint(64, (2, 3), threads=1)
+    assert scan.height_counts.shape == (64,) and set(scan.joint) == {2, 3}
+    assert scan.spectrum().total == int(scan.height_counts.sum())
+    assert int(scan.histogram(2).sum()) == scan.spectrum(64).total
+    assert enumeration.count_projective(1, 2).total == 4
+    for cls, name in ((zeta.LocalFactor, "evaluate"), (cli.ResultCache, "lookup"), (cli.ResultCache, "append")):
+        assert callable(getattr(cls, name))
+    evs = mixing.evaluate_point(heights.PrimitiveMatrix(((2, 1), (0, 3))))
+    levels = {(ev.place.p, ev.radial.exponents[-1]) for ev in evs if ev.place.is_finite}
+    assert levels == {(2, 1), (3, 1)} and sum(not ev.place.is_finite for ev in evs) == 1
+    assert [str(p) for p in zeta.primes_below(50)] == "2 3 5 7 11 13 17 19 23 29 31 37 41 43 47".split()

@@ -144,7 +144,7 @@ def test_count_projective_target(tmp_path):
     cfg = make_config(tmp_path, "count", {"target": "projective:1"}, grid=[10, 20])
     recs = run(cfg)
     assert [r.payload["total"] for r in recs] == [
-        sum(c for h, c in count_projective(1, t).counts.items())
+        sum(count_projective(1, t).counts)
         for t in (10, 20)
     ]
 
@@ -301,7 +301,7 @@ def test_main_csv_output(tmp_path):
 
 
 def _spectrum_csv(spectrum) -> str:
-    return "height,count\n" + "".join(f"{h},{c}\n" for h, c in sorted(spectrum.counts.items()))
+    return "height,count\n" + "".join(f"{h},{c}\n" for h, c in enumerate(spectrum.counts) if c)
 
 
 def _count_calls(monkeypatch, name):
@@ -652,6 +652,46 @@ def test_main_config_malformed_cartan_exit_2(tmp_path, capsys, cartan):
     assert _rejected_without_record(tmp_path, ["--config", str(cfg_file), "invariants", "--weight", "1,1"])
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "--type", "A2", "--weight", "1/0,1"],
+        ["fit", "--count-grid", "16,32,64,128,256", "--a", "1/0"],
+    ],
+    ids=["invariants-weight", "fit-a"],
+)
+def test_main_zero_denominator_exit_2(tmp_path, capsys, argv):
+    # Fraction("1/0") raises ZeroDivisionError, which is no ValueError: it
+    # used to escape main as a traceback
+    assert _rejected_without_record(tmp_path, argv)
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--eps", "nan"), ("--eps", "inf"), ("--pexp", "nan"), ("--pexp", "2,-inf")]
+)
+def test_main_mixing_probe_non_finite_exit_2(tmp_path, capsys, flag, value):
+    # a NaN or an infinity used to be cached as NaN/Infinity, which is not JSON
+    assert _rejected_without_record(tmp_path, ["mixing-probe", "--max-exponent", "2", flag, value])
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration:") and len(err.splitlines()) == 1
+
+
+def test_main_zeta_at_past_the_exact_limit_exit_3_without_record(tmp_path, capsys):
+    # --at 4000000 ran for minutes; 2^65536 is still exact, 3^41350 is past
+    # 2^65536
+    cache = tmp_path / "c.jsonl"
+    assert main(["--cache", str(cache), "zeta", "--primes", "2", "--at", "65536"]) == 0
+    before = cache.read_bytes()
+    capsys.readouterr()
+    for argv in (["--at", "4000000"], ["--primes", "3", "--at", "41350"]):
+        assert main(["--cache", str(cache), "zeta"] + argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource guard:") and len(err.splitlines()) == 1
+        assert cache.read_bytes() == before
 
 
 def test_main_fit_exponent_flags_parse(tmp_path, capsys):

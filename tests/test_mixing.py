@@ -262,6 +262,20 @@ def test_verify_bounds_rejects_non_prime_before_sampling():
         verify_bounds(sample(), eps=0.1, m=4, lp_prime=4)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_eps_and_exponents_are_rejected_before_sampling(bad):
+    def sample():
+        raise AssertionError("the sample was read before eps was checked")
+        yield
+
+    with pytest.raises(MixingError, match="finite"):
+        verify_bounds(sample(), eps=bad, m=4)
+    with pytest.raises(MixingError, match="finite"):
+        verify_bounds(sample(), eps=0.1, m=4, lp_exponents=(2.0, bad))
+    with pytest.raises(MixingError, match="finite"):
+        lp_probe(2, exponents=(bad,))
+
+
 def test_xi_evaluation_validation():
     with pytest.raises(MixingError):
         XiEvaluation(

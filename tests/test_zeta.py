@@ -258,6 +258,19 @@ def test_residue_cutoff_above_the_limit_is_refused_before_the_sieve(monkeypatch)
         residue_estimate(10**8 + 1, CLI_GRID)
 
 
+def test_exact_value_past_the_bit_limit_is_refused_before_the_power():
+    class Base(int):
+        def __pow__(self, other):
+            raise AssertionError("q^s was computed")
+
+    # 2^65536 is within the limit, 3^41350 (65537.6 bits) past it
+    assert local_factor_pgl2_adjoint(2).evaluate_exact(2**16) > 1
+    for p, s in ((3, 41350), (2, 2**16 + 1), (2, 4 * 10**6)):
+        lf = zeta.LocalFactor(q=Base(p), cell_volumes=())
+        with pytest.raises(ResourceGuardError, match="2\\^16 bits"):
+            lf.evaluate_exact(s)
+
+
 def test_residue_of_zeta_surrogate_is_one():
     est = residue_estimate(2, [2.4, 2.2, 2.1, 2.05, 2.025], include_archimedean=False)
     assert est.converged
