@@ -23,7 +23,8 @@ since the last lookup, and indexes the file again from scratch when its
 bytes no longer start with the ones already indexed (a copy or rewrite).
 
 Exit codes: 0 success, 2 invalid configuration, 3 resource guard tripped,
-4 internal invariant violation (including cache corruption).
+4 internal invariant violation (including cache corruption, and a payload
+that is not JSON, which never reaches the cache).
 """
 
 from __future__ import annotations
@@ -96,6 +97,7 @@ class ResultRecord:
                 "payload": self.payload,
             },
             sort_keys=True,
+            allow_nan=False,  # NaN and infinities are not JSON
         )
 
 
@@ -128,23 +130,13 @@ def _unlimited_int_digits():
                 sys.set_int_max_str_digits(_digits_saved)
 
 
-def canonical_params(subcommand: str, params: dict) -> str:
-    """Sorted-key JSON with exact values rendered as strings ('p/q' for
-    rationals); the digest preimage."""
-
-    def norm(v):
-        if isinstance(v, Fraction):
-            return f"{v.numerator}/{v.denominator}"
-        if isinstance(v, (list, tuple)):
-            return [norm(x) for x in v]
-        if isinstance(v, dict):
-            return {str(k): norm(x) for k, x in sorted(v.items())}
-        return v
-
-    return json.dumps({"subcommand": subcommand, "params": norm(params)}, sort_keys=True)
+def canonical_params(subcommand: str, params: dict[str, str]) -> str:
+    """Sorted-key JSON of the string parameters that ``_keyed`` makes; the
+    digest preimage."""
+    return json.dumps({"subcommand": subcommand, "params": params}, sort_keys=True)
 
 
-def params_digest(subcommand: str, params: dict) -> str:
+def params_digest(subcommand: str, params: dict[str, str]) -> str:
     return hashlib.sha256(canonical_params(subcommand, params).encode()).hexdigest()
 
 
@@ -336,25 +328,17 @@ def _fraction(text: str) -> Fraction:
 
 def payload_invariants(params: dict, T: int, top: int, scans: dict) -> dict:
     from .rootdata import (
-        GaloisOrbits,
         adjoint_weight_root_coords,
         manin_invariants,
-        named_root_system,
         parse_root_system_config,
+        root_datum,
         weight_to_root_basis,
     )
 
     if "config_text" in params:
         rs, gal = parse_root_system_config(params["config_text"])
-    elif params["type"]:
-        rs = named_root_system(params["type"])
-        gal = (
-            GaloisOrbits.parse(params["galois"], rs.rank)
-            if params["galois"]
-            else GaloisOrbits.trivial(rs.rank)
-        )
     else:
-        raise ConfigError("invariants needs --type or --config")
+        rs, gal = root_datum({k: params[k] for k in ("type", "galois") if params[k]})
     weight = params["weight"]
     if weight == "adjoint":
         if not params["type"]:
@@ -398,7 +382,7 @@ def payload_count(params: dict, T: int, top: int, scans: dict) -> dict:
 
 
 def payload_zeta(params: dict, T: int, top: int, scans: dict) -> dict:
-    from .zeta import local_factor_pgl2_adjoint, residue_estimate
+    from .zeta import cell_volume, local_factor_pgl2_adjoint, residue_estimate
 
     primes = [int(p) for p in params["primes"].split(",")]
     s_exact = int(params["at"])
@@ -409,10 +393,7 @@ def payload_zeta(params: dict, T: int, top: int, scans: dict) -> dict:
             {
                 "p": p,
                 "rational_function": f"(1 + t)/(1 - {p} t), t = {p}^(-s)",
-                "cell_volumes": {
-                    str(k): f"{v.numerator}/{v.denominator}"
-                    for k, v in enumerate(lf.cell_volumes[:6])
-                },
+                "cell_volumes": {str(k): f"{cell_volume(p, k)}/1" for k in range(6)},
                 "value_at": {
                     str(s_exact): str(lf.evaluate_exact(s_exact)),
                 },
@@ -520,8 +501,9 @@ _SUBCOMMANDS = {
 def _keyed(subcommand: str, given: dict) -> dict:
     """The digested parameters: the options ``given``, else their defaults,
     as strings ("1" for a set switch) unless empty, and whatever else
-    ``given`` holds (the --config text).  The cutoff shapes only the zeta
-    residue: keying on it without --residue would split one payload."""
+    ``given`` holds (the --config text of invariants).  The cutoff shapes
+    only the zeta residue: keying on it without --residue would split one
+    payload."""
     options = _SUBCOMMANDS[subcommand][1]
     keyed = {k: v for k, v in given.items() if k not in options}
     for key, default in options.items():
@@ -584,7 +566,10 @@ def run(config: ExperimentConfig, scan_cache: dict | None = None) -> list[Result
             tool_version=__version__,
             wall_time=round(time.monotonic() - t0, 6),
         )
-        cache.append(rec)
+        try:
+            cache.append(rec)
+        except ValueError as exc:  # from line(): a payload that is not JSON
+            raise InvariantViolation(f"payload of {digest[:12]} is not JSON: {exc}") from None
         records.append(rec)
     return records
 
@@ -632,6 +617,9 @@ def config_from_args(args) -> ExperimentConfig:
     options = _SUBCOMMANDS[args.subcommand][1]
     params = {key: getattr(args, key) for key in options if key != "grid"}
     if args.config:
+        # the config file is a whole root datum: it replaces --type and --galois
+        if args.subcommand != "invariants" or args.type or args.galois:
+            raise ConfigError("--config is read by invariants alone, without --type or --galois")
         with open(args.config, "r", encoding="utf-8") as fh:
             params["config_text"] = fh.read()
     grid = []
@@ -696,13 +684,9 @@ def main(argv: list[str] | None = None) -> int:
                 _write_csv(fh, config, scan_cache)
         return EXIT_OK
     except (ValueError, OSError) as exc:  # every library error is a ValueError
-        # a guard can trip only in a run that loaded its module
-        guards = tuple(
-            mod.ResourceGuardError
-            for mod in map(sys.modules.get, ("heightcount.enumeration", "heightcount.zeta"))
-            if mod
-        )
-        if isinstance(exc, guards):
+        # a guard can trip only in a run that loaded zeta, which defines it
+        zeta = sys.modules.get("heightcount.zeta")
+        if zeta and isinstance(exc, zeta.ResourceGuardError):
             print(f"resource guard: {exc}", file=sys.stderr)
             return EXIT_GUARD
         print(f"invalid configuration: {exc}", file=sys.stderr)

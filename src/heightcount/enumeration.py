@@ -92,7 +92,7 @@ from typing import Iterable
 import numpy as np
 
 from .heights import _is_prime
-from .zeta import primes_below
+from .zeta import ResourceGuardError, primes_below
 
 __all__ = [
     "HeightSpectrum",
@@ -116,10 +116,6 @@ _PROJECTIVE_LIMIT = 2**21
 
 class EnumerationError(ValueError):
     pass
-
-
-class ResourceGuardError(EnumerationError):
-    """The requested count exceeds its work or size limit."""
 
 
 class IncompleteSpectrumError(EnumerationError):
@@ -667,14 +663,10 @@ def _sweep_pgl2(T: int, primes, radius: int, work_limit: int) -> tuple[np.ndarra
     if T > _SWEEP_MAX_T:
         raise EnumerationError(f"T = {T}: heights up to 2T overflow int32")
     B = math.isqrt(T - 1)
-    # the rows y <= x all have C < T up to x0: a lower bound without arrays
-    x0 = math.isqrt((T - 1) // 2)
-    triples = (x0 + 1) * (x0 + 2) * (2 * x0 + 3) // 6 - 1
-    if triples <= work_limit:
-        xs = np.arange(1, B + 1, dtype=np.int32)
-        ymax = np.minimum(xs, (T - 1) // (2 * xs))
-        sizes = (xs + 1).astype(np.int64) * (ymax + 1)
-        triples = int(sizes.sum())
+    xs = np.arange(1, B + 1, dtype=np.int32)
+    ymax = np.minimum(xs, (T - 1) // (2 * xs))
+    sizes = (xs + 1).astype(np.int64) * (ymax + 1)
+    triples = int(sizes.sum())
     if triples > work_limit:
         raise ResourceGuardError(f"{triples} triples to visit exceed work limit {work_limit}")
     counts = np.zeros(T, dtype=np.int64)

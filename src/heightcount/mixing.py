@@ -53,6 +53,7 @@ from .heights import (
     cartan_radial_real,
     smith_exponents,
 )
+from .zeta import cell_volume
 
 __all__ = [
     "XiEvaluation",
@@ -214,25 +215,22 @@ def lp_probe(
         raise MixingError(f"{p} is not prime")
     if not all(map(math.isfinite, exponents)):
         raise MixingError(f"L^p exponents must be finite, got {list(exponents)}")
-    # (vol(U a_k U), xi_p(k)) for every k, shared by every exponent; the
-    # volume is zeta.cell_volume(p, k) as an int, 1 or p^(k-1)(p+1)
-    try:
-        cells = [
-            (float(p ** (k - 1) * (p + 1) if k else 1), xi_padic(p, k)) for k in range(terms + 1)
-        ]
-    except OverflowError:
-        raise MixingError(
-            f"the L^p probe's cell volumes at p = {p} overflow a float within {terms} terms"
-        ) from None
     out: dict[float, list[float]] = {}
-    for e in exponents:
-        acc = 0.0
-        snaps = []
-        for k, (vol, xi) in enumerate(cells):
-            acc += vol * xi**e
-            if k % _LP_REPORT_EVERY == 0 and k > 0:
-                snaps.append(acc)
-        out[float(e)] = snaps
+    try:
+        # (vol(U a_k U), xi_p(k)) for every k, shared by every exponent
+        cells = [(float(cell_volume(p, k)), xi_padic(p, k)) for k in range(terms + 1)]
+        for e in exponents:
+            acc = 0.0
+            snaps = []
+            for k, (vol, xi) in enumerate(cells):
+                acc += vol * xi**e
+                if k % _LP_REPORT_EVERY == 0 and k > 0:
+                    snaps.append(acc)
+            out[float(e)] = snaps
+    except OverflowError:
+        raise MixingError(f"the L^p probe at p = {p} overflows a float in {terms} terms") from None
+    if not all(math.isfinite(v) for snaps in out.values() for v in snaps):
+        raise MixingError(f"an L^p partial sum at p = {p} is not finite")
     return out
 
 
@@ -261,27 +259,32 @@ def verify_bounds(
     violations = 0
     c_eps = 0.0
     c_height = 0.0
-    for g in sample:
-        n_pts += 1
-        evs = evaluate_point(g)
-        xi_g = 1.0
-        eta_pow = 1.0
-        for ev in evs:
-            xi_g *= ev.xi
-            eta_pow *= ev.eta ** (-0.5 + eps)
-            if ev.place.is_finite:
-                n = ev.radial.exponents[-1]
-                if xi_padic_squared(ev.place.p, n) < Fraction(1, ev.place.p**n):
-                    violations += 1
-            else:
-                if ev.xi * math.sqrt(ev.eta) < 1.0 - 1e-9:
-                    violations += 1
-        c_eps = max(c_eps, xi_g / eta_pow)
-        H, _ = adjoint_rep(g)
-        h_val = float(max(abs(x) for row in H for x in row))
-        c_height = max(c_height, xi_g * h_val ** (1.0 / m))
+    try:
+        for g in sample:
+            n_pts += 1
+            evs = evaluate_point(g)
+            xi_g = 1.0
+            eta_pow = 1.0
+            for ev in evs:
+                xi_g *= ev.xi
+                eta_pow *= ev.eta ** (-0.5 + eps)
+                if ev.place.is_finite:
+                    n = ev.radial.exponents[-1]
+                    if xi_padic_squared(ev.place.p, n) < Fraction(1, ev.place.p**n):
+                        violations += 1
+                else:
+                    if ev.xi * math.sqrt(ev.eta) < 1.0 - 1e-9:
+                        violations += 1
+            c_eps = max(c_eps, xi_g / eta_pow)
+            H, _ = adjoint_rep(g)
+            h_val = float(max(abs(x) for row in H for x in row))
+            c_height = max(c_height, xi_g * h_val ** (1.0 / m))
+    except (OverflowError, ZeroDivisionError):
+        raise MixingError(f"a bound leaves the float range at eps = {eps}, m = {m}") from None
     if n_pts == 0:
         raise MixingError("empty sample")
+    if not (math.isfinite(c_eps) and math.isfinite(c_height)):
+        raise MixingError(f"a decay-bound constant is not finite at eps = {eps}, m = {m}")
     return MixingReport(
         sample_size=n_pts,
         eps=float(eps),

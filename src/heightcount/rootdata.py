@@ -12,6 +12,10 @@ basis:
   (number of Galois orbits achieving the max), plus the saturation flag
   (does the argmax set meet every almost-simple factor?).
 
+One constructor, ``root_datum``, builds a root system and its Galois orbits
+from ``type=``/``cartan=``/``factors=``/``galois=`` strings, whether they come
+from the CLI's ``--type``/``--galois`` or a ``--config`` file.
+
 All arithmetic uses ``fractions.Fraction``; ties in the argmax are resolved
 by exact equality.  Indices are 1-based throughout the public API, matching
 the usual numbering of simple roots.
@@ -31,6 +35,7 @@ __all__ = [
     "RootDataError",
     "named_root_system",
     "parse_root_system_config",
+    "root_datum",
     "adjoint_weight_root_coords",
     "two_rho_coeffs",
     "weight_to_root_basis",
@@ -274,11 +279,8 @@ def adjoint_weight_root_coords(label: str) -> tuple[int, ...]:
 
 
 def parse_root_system_config(text: str) -> tuple[RootSystem, GaloisOrbits]:
-    """Parse a key=value config describing a root system.
-
-    Recognized keys: ``type=A3`` or an explicit ``cartan=[[2,-1,...],...]``,
-    plus optional ``factors=[[1,2,3]]`` and ``galois=[[1],[2],[3]]``.
-    """
+    """The root datum of a key=value config text: one ``key=value`` per
+    line, blank lines and ``#`` comments skipped, read by ``root_datum``."""
     kv: dict[str, str] = {}
     for line in text.splitlines():
         line = line.strip()
@@ -288,7 +290,16 @@ def parse_root_system_config(text: str) -> tuple[RootSystem, GaloisOrbits]:
             raise RootDataError(f"bad config line {line!r}")
         k, v = line.split("=", 1)
         kv[k.strip()] = v.strip()
+    return root_datum(kv)
 
+
+def root_datum(kv: dict[str, str]) -> tuple[RootSystem, GaloisOrbits]:
+    """A root system and its Galois orbits from string values by key.
+
+    Recognized keys: ``type=A3`` or an explicit ``cartan=[[2,-1,...],...]``
+    (with optional ``factors=[[1,2,3]]`` and ``label=``), plus optional
+    ``galois=[[1],[2],[3]]``; orbits default to the trivial action.
+    """
     if "type" in kv:
         rs = named_root_system(kv["type"])
     elif "cartan" in kv:
@@ -305,7 +316,7 @@ def parse_root_system_config(text: str) -> tuple[RootSystem, GaloisOrbits]:
             label=kv.get("label", "custom"),
         )
     else:
-        raise RootDataError("config needs either type= or cartan=")
+        raise RootDataError("a root datum needs a type or a cartan matrix")
 
     if "galois" in kv:
         return rs, GaloisOrbits.parse(kv["galois"], rs.rank)

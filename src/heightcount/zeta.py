@@ -1,8 +1,10 @@
 """Local height-zeta factors for PGL_2, Euler products, and count fitting.
 
 At a finite place q, integrating H^{-s} over the group with vol(U) = 1
-reduces to a sum over Cartan cells U a_k U: the cell at level k has exact
-volume 1 (k = 0) or q^{k-1}(q+1) (k >= 1) and local height q^k, so
+reduces to a sum over Cartan cells U a_k U: the cell at level k has local
+height q^k and exact integer volume 1 (k = 0) or q^{k-1}(q+1) (k >= 1),
+given by ``cell_volume`` alone (the zeta payloads, the cell model and the
+L^p probe all read it), so
 
     Z_q(s) = 1 + (1 + q^{-1}) sum_{k>=1} q^k q^{-ks}
            = (1 + t) / (1 - q t),   t = q^{-s},
@@ -27,7 +29,8 @@ scale) is a calibration constant, never asserted a priori.
 
 The Tauberian side goes the other way: given an empirical grid (T, N(T)),
 fit N / (T^a (log T)^(b-1)) against c (1 + d / log T) and, in diagnostic
-mode, a free growth exponent.
+mode, a free growth exponent; exponents that make either fit non-finite
+are refused.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ __all__ = [
 ]
 
 GROWTH_EXPONENT = Fraction(2)  # pole location of the PGL_2 adjoint zeta
-_CELL_KMAX = 12  # a local factor tabulates the cell volumes of k <= 12
 _RESIDUE_DPS = 50  # working decimal digits of the residue extrapolation
 # largest residue cutoff: the prime sieve below it takes 100 MB
 _RESIDUE_CUTOFF_LIMIT = 10**8
@@ -82,8 +84,9 @@ class ZetaError(ValueError):
     pass
 
 
-class ResourceGuardError(ZetaError):
-    """A requested residue cutoff or exact value exceeds its size limit."""
+class ResourceGuardError(ValueError):
+    """A requested count, residue cutoff or exact value exceeds its work or
+    size limit; the one guard class, which the enumeration module raises too."""
 
 
 def primes_below(n: int) -> np.ndarray:
@@ -103,20 +106,20 @@ def primes_below(n: int) -> np.ndarray:
 # local factors
 
 
-def cell_volume(q: int, k: int) -> Fraction:
-    """vol(U a_k U) under vol(U) = 1: 1 for k = 0, q^(k-1)(q+1) for k >= 1."""
+def cell_volume(q: int, k: int) -> int:
+    """vol(U a_k U) under vol(U) = 1: 1 for k = 0, q^(k-1)(q+1) for k >= 1,
+    the coefficient of q^{-ks} in the series form of Z_q(s)."""
     if k < 0:
         raise ZetaError("cell level must be >= 0")
-    return Fraction(1) if k == 0 else Fraction(q ** (k - 1) * (q + 1))
+    return 1 if k == 0 else q ** (k - 1) * (q + 1)
 
 
 @dataclass(frozen=True)
 class LocalFactor:
-    """Local zeta factor Z_q(s) = (1 + t)/(1 - q t), t = q^{-s}, and the
-    cell measures vol_k of its series form Z(s) = sum_k vol_k q^{-ks}."""
+    """Local zeta factor Z_q(s) = (1 + t)/(1 - q t), t = q^{-s}; its series
+    form is Z(s) = sum_k cell_volume(q, k) q^{-ks}."""
 
     q: int
-    cell_volumes: tuple[Fraction, ...]
 
     def evaluate_exact(self, s: int) -> Fraction:
         """Value at an integer s > 1, as an exact rational; q^s must have
@@ -141,14 +144,11 @@ class LocalFactor:
 
 
 def local_factor_pgl2_adjoint(p: int) -> LocalFactor:
-    """The exact local factor (1 + t)/(1 - q t) at q = p, with cell volumes."""
+    """The exact local factor (1 + t)/(1 - q t) at q = p."""
     if not _is_prime(p):
         raise ZetaError(f"{p} is not prime")
-    p = int(p)  # a numpy integer, as primes_below gives, would overflow the volumes
-    return LocalFactor(
-        q=p,
-        cell_volumes=tuple(cell_volume(p, k) for k in range(_CELL_KMAX + 1)),
-    )
+    # a numpy integer, as primes_below gives, would overflow q^s
+    return LocalFactor(q=int(p))
 
 
 def model_cell_probabilities(p: int, kmax: int) -> tuple[dict[int, Fraction], Fraction]:
@@ -341,7 +341,8 @@ def tauberian_fit(
     """Least-squares fit of N(T) = c T^a (log T)^(b-1) (1 + d / log T).
 
     Also reports the free-exponent fit of log N against log T (with the
-    (b-1) log log T term removed) as a diagnostic a_hat.
+    (b-1) log log T term removed) as a diagnostic a_hat.  An exponent past
+    the float range, or a non-finite normalised count or fit, is a ZetaError.
     """
     pts = [(int(t), int(n)) for t, n in grid]
     if any(t2 <= t1 for (t1, _), (t2, _) in zip(pts, pts[1:])):
@@ -356,25 +357,32 @@ def tauberian_fit(
         raise ZetaError("counts must be positive to fit")
 
     logt = np.log(ts)
-    af = float(a)
-    y = ns / (ts**af * logt ** (b - 1))
-    design = np.column_stack([np.ones_like(logt), 1.0 / logt])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    c_hat, e = float(coef[0]), float(coef[1])
-    if c_hat <= 0:
-        raise ZetaError("fit produced a non-positive leading constant")
-    resid = list(y - design @ coef)
+    try:
+        af, bf = float(a), float(b - 1)
+    except OverflowError:
+        raise ZetaError("a growth exponent overflows a float") from None
+    # exponents far from the counts' own overflow or underflow the
+    # normalisation; that is checked once below, not warned about
+    with np.errstate(all="ignore"):
+        y = ns / (ts**af * logt**bf)
+        if not np.all(np.isfinite(y)):
+            raise ZetaError(f"N / (T^a (log T)^(b-1)) is not finite at a = {a}, b = {b}")
+        design = np.column_stack([np.ones_like(logt), 1.0 / logt])
+        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+        c_hat, e = float(coef[0]), float(coef[1])
+        if c_hat <= 0:
+            raise ZetaError("fit produced a non-positive leading constant")
+        resid = [float(r) for r in y - design @ coef]
 
-    z = np.log(ns) - (b - 1) * np.log(logt)
-    slope_design = np.column_stack([logt, np.ones_like(logt)])
-    sl, *_ = np.linalg.lstsq(slope_design, z, rcond=None)
-    return FitResult(
-        a_hat=float(sl[0]),
-        c_hat=c_hat,
-        d_hat=e / c_hat,
-        residuals=[float(r) for r in resid],
-        grid=pts,
-    )
+        z = np.log(ns) - bf * np.log(logt)
+        slope_design = np.column_stack([logt, np.ones_like(logt)])
+        sl, *_ = np.linalg.lstsq(slope_design, z, rcond=None)
+        fit = FitResult(
+            a_hat=float(sl[0]), c_hat=c_hat, d_hat=e / c_hat, residuals=resid, grid=pts
+        )
+    if not all(map(math.isfinite, (fit.a_hat, fit.c_hat, fit.d_hat, *resid))):
+        raise ZetaError(f"the fit at a = {a}, b = {b} is not finite")
+    return fit
 
 
 def calibrate_archimedean_scale(

@@ -68,3 +68,10 @@ def test_names_the_benchmark_reads():
     levels = {(ev.place.p, ev.radial.exponents[-1]) for ev in evs if ev.place.is_finite}
     assert levels == {(2, 1), (3, 1)} and sum(not ev.place.is_finite for ev in evs) == 1
     assert [str(p) for p in zeta.primes_below(50)] == "2 3 5 7 11 13 17 19 23 29 31 37 41 43 47".split()
+
+
+def test_one_resource_guard_error():
+    # enumeration re-exports zeta's guard, so the CLI maps one class to exit 3
+    from heightcount import enumeration, zeta
+
+    assert enumeration.ResourceGuardError is zeta.ResourceGuardError

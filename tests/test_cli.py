@@ -38,11 +38,9 @@ def make_config(tmp_path, subcommand, params, grid=(), **kw):
 
 
 def test_canonical_params_sorts_and_stringifies():
-    from fractions import Fraction
-
-    s = canonical_params("count", {"b": Fraction(1, 3), "a": [1, 2]})
+    s = canonical_params("count", {"b": "1/3", "a": "1,2"})
     assert s.index('"a"') < s.index('"b"')
-    assert "1/3" in s
+    assert '"b": "1/3"' in s and '"a": "1,2"' in s
 
 
 def test_digest_ignores_param_order():
@@ -654,6 +652,39 @@ def test_main_config_malformed_cartan_exit_2(tmp_path, capsys, cartan):
     assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
+def test_main_config_and_flags_give_one_root_datum(tmp_path, capsys):
+    cfg_file = tmp_path / "a3.cfg"
+    cfg_file.write_text("type=A3\ngalois=[[1,3],[2]]\n")
+    payloads = []
+    for argv in (
+        ["--config", str(cfg_file), "invariants"],
+        ["invariants", "--type", "A3", "--galois", "[[1,3],[2]]"],
+    ):
+        assert main(["--cache", str(tmp_path / "c.jsonl"), "--json"] + argv + ["--weight", "1,1,1"]) == 0
+        payloads.append(json.loads(capsys.readouterr().out)["payload"])
+    assert payloads[0] == payloads[1]
+    assert (payloads[0]["label"], payloads[0]["b"]) == ("A3", 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "--type", "B2"],
+        ["invariants", "--galois", "[[1,2]]", "--weight", "1,1"],
+        ["zeta", "--primes", "2"],
+    ],
+    ids=["with-type", "with-galois", "zeta"],
+)
+def test_main_config_with_flags_or_other_subcommands_exit_2(tmp_path, capsys, argv):
+    # the file's datum used to win, mixed with --type's adjoint weight or
+    # ignoring --galois, and other subcommands digested the file unread
+    cfg_file = tmp_path / "a2.cfg"
+    cfg_file.write_text("type=A2\n")
+    assert _rejected_without_record(tmp_path, ["--config", str(cfg_file)] + argv)
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration:") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -671,13 +702,52 @@ def test_main_zero_denominator_exit_2(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--eps", "nan"), ("--eps", "inf"), ("--pexp", "nan"), ("--pexp", "2,-inf")]
+    "argv",
+    [
+        pytest.param(["--max-exponent", "2", "--eps", "nan"], id="--eps-nan"),
+        pytest.param(["--max-exponent", "2", "--eps", "inf"], id="--eps-inf"),
+        pytest.param(["--max-exponent", "2", "--pexp", "nan"], id="--pexp-nan"),
+        pytest.param(["--max-exponent", "2", "--pexp", "2,-inf"], id="--pexp-2,-inf"),
+        # finite options whose constants or sums leave the float range
+        pytest.param(["--eps=-25.5"], id="c_eps-infinite"),
+        pytest.param(["--eps=-26.5"], id="eta-power-underflow"),
+        pytest.param(["--eps", "100"], id="eta-power-overflow"),
+        pytest.param(["--pexp=-1000"], id="kernel-power-overflow"),
+        pytest.param(["--prime", "31", "--max-exponent", "3", "--pexp=-2"], id="lp-sum-infinite"),
+    ],
 )
-def test_main_mixing_probe_non_finite_exit_2(tmp_path, capsys, flag, value):
-    # a NaN or an infinity used to be cached as NaN/Infinity, which is not JSON
-    assert _rejected_without_record(tmp_path, ["mixing-probe", "--max-exponent", "2", flag, value])
+def test_main_mixing_probe_non_finite_exit_2(tmp_path, capsys, argv):
+    # a NaN or an infinity used to be cached as NaN/Infinity, which is not
+    # JSON, and an overflow or a division by zero escaped as a traceback
+    assert _rejected_without_record(tmp_path, ["mixing-probe"] + argv)
     err = capsys.readouterr().err
     assert err.startswith("invalid configuration:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "option",
+    [["--a", "1e400"], ["--a=-150"], ["--a=-300"], ["--b=-500"]],
+    ids=["a-float-overflow", "a-150", "a-300", "b-500"],
+)
+def test_main_fit_non_finite_exit_2(tmp_path, capsys, option):
+    # 1e400 is a valid rational past the float range (it used to escape as
+    # an OverflowError); the others made the normalised counts infinite,
+    # and were cached as NaN/Infinity
+    assert _rejected_without_record(tmp_path, ["fit", "--count-grid", "16,32,64,128,256"] + option)
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration:") and len(err.splitlines()) == 1
+
+
+def test_main_non_json_payload_exit_4_without_record(tmp_path, capsys, monkeypatch):
+    from heightcount import cli
+
+    options = cli._SUBCOMMANDS["zeta"][1]
+    monkeypatch.setitem(cli._SUBCOMMANDS, "zeta", (lambda *args: {"v": float("inf")}, options))
+    cache = tmp_path / "c.jsonl"
+    assert main(["--cache", str(cache), "--json", "zeta"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal invariant violation:")
+    assert len(err.splitlines()) == 1 and not cache.exists()
 
 
 def test_main_zeta_at_past_the_exact_limit_exit_3_without_record(tmp_path, capsys):

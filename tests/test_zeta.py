@@ -266,7 +266,7 @@ def test_exact_value_past_the_bit_limit_is_refused_before_the_power():
     # 2^65536 is within the limit, 3^41350 (65537.6 bits) past it
     assert local_factor_pgl2_adjoint(2).evaluate_exact(2**16) > 1
     for p, s in ((3, 41350), (2, 2**16 + 1), (2, 4 * 10**6)):
-        lf = zeta.LocalFactor(q=Base(p), cell_volumes=())
+        lf = zeta.LocalFactor(q=Base(p))
         with pytest.raises(ResourceGuardError, match="2\\^16 bits"):
             lf.evaluate_exact(s)
 
