@@ -17,10 +17,13 @@ are byte-faithful.  Records from a different tool version are ignored
 unless --allow-stale is given.  Each record is appended with one write(2)
 on an O_APPEND descriptor, which local Linux filesystems apply atomically,
 so there concurrent writers do not interleave inside a line (NFS gives no
-such guarantee).  A process indexes each cache file once, digest -> records in file
-order: a lookup reads the file, parses only the complete lines appended
-since the last lookup, and indexes the file again from scratch when its
-bytes no longer start with the ones already indexed (a copy or rewrite).
+such guarantee).  A process indexes each cache file once, digest -> records
+in file order: a lookup reads the file, parses only the complete lines
+appended since the last lookup, and indexes the file again from scratch
+when its bytes no longer start with the ones already indexed (a copy or
+rewrite).  A line that is not a record, or holds NaN or an infinity, is
+malformed: skipped with a warning and counted, so its query is computed
+again.
 
 Exit codes: 0 success, 2 invalid configuration, 3 resource guard tripped,
 4 internal invariant violation (including cache corruption, and a payload
@@ -73,10 +76,25 @@ class ExperimentConfig:
     audit_rate: int = 0  # re-verify ~1 in N cache hits; 0 disables
 
     def __post_init__(self):
-        if any(t < 1 for t in self.grid):
-            raise ConfigError("grid points must be >= 1")
-        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
-            raise ConfigError("grid must be strictly increasing")
+        _check_grid(self.grid)
+
+
+def _check_grid(grid: list[int]) -> list[int]:
+    """A threshold grid, checked: positive and strictly increasing."""
+    if any(t < 1 for t in grid):
+        raise ConfigError("grid points must be >= 1")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError("grid must be strictly increasing")
+    return grid
+
+
+def _comma_list(text: str, cast=int) -> list:
+    """The items of a comma-separated option value, each read by ``cast``:
+    "" has none, and an empty item is a configuration error."""
+    items = text.split(",") if text else []
+    if "" in items:
+        raise ConfigError(f"empty item in {text!r}")
+    return [cast(x) for x in items]
 
 
 @dataclass
@@ -144,10 +162,19 @@ def params_digest(subcommand: str, params: dict[str, str]) -> str:
 # cache
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+# NaN and the infinities, which Python's json reads by default and
+# ``ResultRecord.line()`` refuses to write, make a cache line malformed
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def _parse_record(text: bytes) -> ResultRecord:
     """One cache line as a record; raises ValueError, KeyError or TypeError
     if it is malformed."""
-    obj = json.loads(text)
+    obj = _DECODER.decode(text.decode())
     return ResultRecord(
         params_digest=obj["digest"],
         payload=obj["payload"],
@@ -301,7 +328,7 @@ def _count(target: str, T: int, top: int, scans: dict, primes: tuple[int, ...] =
         full = scans[key]
         return full.below(T).total, lambda: _scan_text(scans, key, full.counts, T), {}
     if target.startswith("product-pgl2:"):
-        w1, w2 = (int(x) for x in target.split(":", 1)[1].split(","))
+        w1, w2 = _comma_list(target.split(":", 1)[1])
         primes = ()  # a product has no histograms: any scan at top serves
     elif target != "pgl2-adjoint":
         raise ConfigError(f"unknown target {target!r}")
@@ -330,23 +357,22 @@ def payload_invariants(params: dict, T: int, top: int, scans: dict) -> dict:
     from .rootdata import (
         adjoint_weight_root_coords,
         manin_invariants,
-        parse_root_system_config,
+        parse_config,
         root_datum,
         weight_to_root_basis,
     )
 
     if "config_text" in params:
-        rs, gal = parse_root_system_config(params["config_text"])
+        datum = parse_config(params["config_text"])
     else:
-        rs, gal = root_datum({k: params[k] for k in ("type", "galois") if params[k]})
-    weight = params["weight"]
-    if weight == "adjoint":
-        if not params["type"]:
-            raise ConfigError("--weight adjoint needs a named --type")
-        m = [Fraction(x) for x in adjoint_weight_root_coords(params["type"])]
+        datum = {k: params[k] for k in ("type", "galois") if params[k]}
+    rs, gal = root_datum(datum)
+    if params["weight"] != "adjoint":
+        m = weight_to_root_basis(rs, _comma_list(params["weight"], _fraction))
+    elif "type" in datum:
+        m = adjoint_weight_root_coords(datum["type"])
     else:
-        fund = [_fraction(x) for x in weight.split(",")]
-        m = list(weight_to_root_basis(rs, fund))
+        raise ConfigError("--weight adjoint needs a named type")
     inv = manin_invariants(rs, m, gal)
     return {
         "label": rs.label,
@@ -363,7 +389,7 @@ def payload_invariants(params: dict, T: int, top: int, scans: dict) -> dict:
 def payload_count(params: dict, T: int, top: int, scans: dict) -> dict:
     from .heights import _is_prime
 
-    primes = tuple(int(p) for p in params["primes"].split(",") if p)
+    primes = tuple(_comma_list(params["primes"]))
     # checked for every target: projective counts ignore the primes, but the
     # query records them
     composite = [p for p in primes if not _is_prime(p)]
@@ -384,7 +410,7 @@ def payload_count(params: dict, T: int, top: int, scans: dict) -> dict:
 def payload_zeta(params: dict, T: int, top: int, scans: dict) -> dict:
     from .zeta import cell_volume, local_factor_pgl2_adjoint, residue_estimate
 
-    primes = [int(p) for p in params["primes"].split(",")]
+    primes = _comma_list(params["primes"])
     s_exact = int(params["at"])
     out = {"factors": []}
     for p in primes:
@@ -415,9 +441,7 @@ def payload_zeta(params: dict, T: int, top: int, scans: dict) -> dict:
 def payload_fit(params: dict, T: int, top: int, scans: dict) -> dict:
     from .zeta import tauberian_fit
 
-    grid = [int(x) for x in params["count_grid"].split(",") if x]
-    if min(grid, default=1) < 1:
-        raise ConfigError("grid points must be >= 1")
+    grid = _check_grid(_comma_list(params["count_grid"]))
     a = _fraction(params["a"])
     b = int(params["b"])
     counts = [(t, _count(params["target"], t, max(grid), scans)[0]) for t in grid]
@@ -441,7 +465,7 @@ def payload_mixing(params: dict, T: int, top: int, scans: dict) -> dict:
     kmax = int(params["max_exponent"])
     eps = float(params["eps"])
     m = int(params["m"])
-    pexp = [float(x) for x in params["pexp"].split(",")]
+    pexp = _comma_list(params["pexp"], float)
     sample = [
         PrimitiveMatrix(((p**j, 0), (0, 1))) if j else PrimitiveMatrix(((1, 0), (0, 1)))
         for j in range(kmax + 1)
@@ -464,7 +488,7 @@ def payload_equidist(params: dict, T: int, top: int, scans: dict) -> dict:
     from .enumeration import cartan_statistics
     from .zeta import model_cell_probabilities
 
-    primes = tuple(int(p) for p in params["primes"].split(","))
+    primes = tuple(_comma_list(params["primes"]))
     _, _, hists = _count("pgl2-adjoint", T, top, scans, primes)
     rows = {}
     for p, hist in hists.items():
@@ -622,13 +646,10 @@ def config_from_args(args) -> ExperimentConfig:
             raise ConfigError("--config is read by invariants alone, without --type or --galois")
         with open(args.config, "r", encoding="utf-8") as fh:
             params["config_text"] = fh.read()
-    grid = []
-    if "grid" in options and args.grid:
-        grid = [int(x) for x in args.grid.split(",")]
     return ExperimentConfig(
         subcommand=args.subcommand,
         parameters=params,
-        grid=grid,
+        grid=_comma_list(args.grid) if "grid" in options else [],
         cache_path=args.cache,
         seed=args.seed,
         allow_stale=args.allow_stale,

@@ -13,8 +13,12 @@ basis:
   (does the argmax set meet every almost-simple factor?).
 
 One constructor, ``root_datum``, builds a root system and its Galois orbits
-from ``type=``/``cartan=``/``factors=``/``galois=`` strings, whether they come
-from the CLI's ``--type``/``--galois`` or a ``--config`` file.
+from a map of ``type=``/``cartan=``/``factors=``/``galois=`` strings, whether
+it comes from the CLI's ``--type``/``--galois`` or, by ``parse_config``, a
+``--config`` file.  Named types (``A3``, ``A1xG2``) are read from one table,
+``_FAMILIES``, which gives each family A..G the ranks it exists in, its Cartan
+block and the marks of its highest root: ``named_root_system`` and
+``adjoint_weight_root_coords`` accept exactly the same names.
 
 All arithmetic uses ``fractions.Fraction``; ties in the argmax are resolved
 by exact equality.  Indices are 1-based throughout the public API, matching
@@ -34,7 +38,7 @@ __all__ = [
     "ManinInvariants",
     "RootDataError",
     "named_root_system",
-    "parse_root_system_config",
+    "parse_config",
     "root_datum",
     "adjoint_weight_root_coords",
     "two_rho_coeffs",
@@ -147,13 +151,6 @@ class GaloisOrbits:
     def trivial(cls, rank: int) -> "GaloisOrbits":
         return cls(tuple(frozenset([i]) for i in range(1, rank + 1)))
 
-    @classmethod
-    def parse(cls, text: str, rank: int) -> "GaloisOrbits":
-        """Orbits from JSON ``[[1], [2, 3], ...]``, checked against ``rank``."""
-        gal = cls(tuple(map(frozenset, _int_rows(text, "galois"))))
-        gal.validate(rank)
-        return gal
-
     def validate(self, rank: int) -> None:
         _check_partition(self.orbits, rank, "Galois orbit")
 
@@ -172,92 +169,69 @@ class ManinInvariants:
 # --------------------------------------------------------------------------
 # named systems
 
-_MARKS = {
-    # coefficients of the highest root in the simple-root basis, per family
-    "A": lambda n: [1] * n,
-    "B": lambda n: [1] + [2] * (n - 1),
-    "C": lambda n: [2] * (n - 1) + [1],
-    "D": lambda n: [1] + [2] * (n - 3) + [1, 1],
-    "E": {6: [1, 2, 2, 3, 2, 1], 7: [2, 2, 3, 4, 3, 2, 1], 8: [2, 3, 4, 6, 5, 4, 3, 2]},
-    "F": {4: [2, 3, 4, 2]},
-    "G": {2: [3, 2]},
+def _path(n: int) -> list[tuple[int, int, int, int]]:
+    """The simple links of the chain 0 - 1 - ... - (n-1)."""
+    return [(i, i + 1, -1, -1) for i in range(n - 1)]
+
+
+# family -> (the ranks n it exists in, its Dynkin links (i, j, C[i][j],
+# C[j][i]) at rank n on 0-based nodes, the coefficients of its highest root
+# in the simple-root basis at rank n); Bourbaki numbering, where E's chain
+# is 1-3-4-5-6(-7(-8)) with node 2 attached to 4
+_FAMILIES = {
+    "A": (lambda n: n >= 1, _path, lambda n: [1] * n),
+    "B": (
+        lambda n: n >= 2,
+        lambda n: _path(n - 1) + [(n - 2, n - 1, -2, -1)],
+        lambda n: [1] + [2] * (n - 1),
+    ),
+    "C": (
+        lambda n: n >= 2,
+        lambda n: _path(n - 1) + [(n - 2, n - 1, -1, -2)],
+        lambda n: [2] * (n - 1) + [1],
+    ),
+    "D": (
+        lambda n: n >= 3,
+        lambda n: _path(n - 1) + [(n - 3, n - 1, -1, -1)],
+        lambda n: [1] + [2] * (n - 3) + [1, 1],
+    ),
+    "E": (
+        lambda n: n in (6, 7, 8),
+        lambda n: _path(n)[2:] + [(0, 2, -1, -1), (1, 3, -1, -1)],
+        lambda n: {6: [1, 2, 2, 3, 2, 1], 7: [2, 2, 3, 4, 3, 2, 1], 8: [2, 3, 4, 6, 5, 4, 3, 2]}[n],
+    ),
+    "F": (
+        lambda n: n == 4,
+        lambda n: [(0, 1, -1, -1), (1, 2, -2, -1), (2, 3, -1, -1)],
+        lambda n: [2, 3, 4, 2],
+    ),
+    "G": (lambda n: n == 2, lambda n: [(0, 1, -1, -3)], lambda n: [3, 2]),
 }
 
 
-def _cartan_block(family: str, n: int) -> list[list[int]]:
-    """Cartan matrix of one simple factor, Bourbaki numbering."""
-    if family == "A":
-        ok = n >= 1
-    elif family == "B" or family == "C":
-        ok = n >= 2
-    elif family == "D":
-        ok = n >= 3
-    elif family == "E":
-        ok = n in (6, 7, 8)
-    elif family == "F":
-        ok = n == 4
-    elif family == "G":
-        ok = n == 2
-    else:
-        ok = False
-    if not ok:
-        raise RootDataError(f"unsupported type {family}{n}")
-
-    C = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def link(i, j, cij=-1, cji=-1):
-        C[i][j] = cij
-        C[j][i] = cji
-
-    if family in ("A", "B", "C"):
-        for i in range(n - 1):
-            link(i, i + 1)
-        if family == "B" and n >= 2:
-            link(n - 2, n - 1, -2, -1)
-        if family == "C" and n >= 2:
-            link(n - 2, n - 1, -1, -2)
-    elif family == "D":
-        for i in range(n - 2):
-            link(i, i + 1)
-        link(n - 3, n - 1)
-    elif family == "E":
-        # Bourbaki: chain 1-3-4-5-6(-7(-8)), node 2 attached to 4
-        chain = [0, 2, 3, 4, 5, 6, 7][: n - 1]
-        for x, y in zip(chain, chain[1:]):
-            link(x, y)
-        link(1, 3)
-    elif family == "F":
-        link(0, 1)
-        link(1, 2, -2, -1)
-        link(2, 3)
-    elif family == "G":
-        link(0, 1, -1, -3)
-    return C
-
-
-def _parse_factor_names(label: str) -> list[tuple[str, int]]:
-    parts = label.replace(" ", "").split("x")
+def _factors(label: str) -> list[tuple[str, int]]:
+    """The simple factors (family, rank) of a name like ``A3`` or ``A1xB2``."""
     out = []
-    for part in parts:
-        if len(part) < 2 or part[0].upper() not in "ABCDEFG" or not part[1:].isdigit():
+    for part in label.replace(" ", "").split("x"):
+        if len(part) < 2 or part[0].upper() not in _FAMILIES or not part[1:].isdigit():
             raise RootDataError(f"cannot parse root-system type {label!r}")
-        out.append((part[0].upper(), int(part[1:])))
+        family, n = part[0].upper(), int(part[1:])
+        if not _FAMILIES[family][0](n):
+            raise RootDataError(f"unsupported type {family}{n}")
+        out.append((family, n))
     return out
 
 
 def named_root_system(label: str) -> RootSystem:
     """Build a root system from a name like ``A3``, ``B2``, or ``A1xA1``."""
-    factors = _parse_factor_names(label)
-    blocks = [_cartan_block(f, n) for f, n in factors]
+    factors = _factors(label)
     rank = sum(n for _, n in factors)
-    C = [[0] * rank for _ in range(rank)]
+    C = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
     partition = []
     off = 0
-    for blk in blocks:
-        n = len(blk)
-        for i in range(n):
-            for j in range(n):
-                C[off + i][off + j] = blk[i][j]
+    for family, n in factors:
+        for i, j, cij, cji in _FAMILIES[family][1](n):
+            C[off + i][off + j], C[off + j][off + i] = cij, cji
         partition.append(frozenset(range(off + 1, off + n + 1)))
         off += n
     return RootSystem(
@@ -271,16 +245,12 @@ def named_root_system(label: str) -> RootSystem:
 def adjoint_weight_root_coords(label: str) -> tuple[int, ...]:
     """Simple-root coefficients of the adjoint highest weight (the highest
     root), per factor, concatenated.  Tabulated marks; no root enumeration."""
-    coords: list[int] = []
-    for family, n in _parse_factor_names(label):
-        entry = _MARKS[family]
-        coords.extend(entry(n) if callable(entry) else entry[n])
-    return tuple(coords)
+    return tuple(m for family, n in _factors(label) for m in _FAMILIES[family][2](n))
 
 
-def parse_root_system_config(text: str) -> tuple[RootSystem, GaloisOrbits]:
-    """The root datum of a key=value config text: one ``key=value`` per
-    line, blank lines and ``#`` comments skipped, read by ``root_datum``."""
+def parse_config(text: str) -> dict[str, str]:
+    """The key=value map of a config text, as ``root_datum`` reads it: one
+    ``key=value`` per line, blank lines and ``#`` comments skipped."""
     kv: dict[str, str] = {}
     for line in text.splitlines():
         line = line.strip()
@@ -290,7 +260,7 @@ def parse_root_system_config(text: str) -> tuple[RootSystem, GaloisOrbits]:
             raise RootDataError(f"bad config line {line!r}")
         k, v = line.split("=", 1)
         kv[k.strip()] = v.strip()
-    return root_datum(kv)
+    return kv
 
 
 def root_datum(kv: dict[str, str]) -> tuple[RootSystem, GaloisOrbits]:
@@ -318,9 +288,11 @@ def root_datum(kv: dict[str, str]) -> tuple[RootSystem, GaloisOrbits]:
     else:
         raise RootDataError("a root datum needs a type or a cartan matrix")
 
-    if "galois" in kv:
-        return rs, GaloisOrbits.parse(kv["galois"], rs.rank)
-    return rs, GaloisOrbits.trivial(rs.rank)
+    if "galois" not in kv:
+        return rs, GaloisOrbits.trivial(rs.rank)
+    gal = GaloisOrbits(tuple(map(frozenset, _int_rows(kv["galois"], "galois"))))
+    gal.validate(rs.rank)
+    return rs, gal
 
 
 # --------------------------------------------------------------------------

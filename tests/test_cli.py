@@ -514,6 +514,36 @@ def test_cache_unterminated_malformed_line_is_reread(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("constant", ["Infinity", "-Infinity", "NaN"])
+@pytest.mark.parametrize("terminated", [True, False], ids=["indexed", "tail"])
+def test_cache_non_json_constant_is_malformed(tmp_path, capsys, constant, terminated):
+    # json.loads reads these tokens, so such a line used to be served
+    path = tmp_path / "c.jsonl"
+    line = _rec("abc", {"v": 1}).line().replace('{"v": 1}', f'{{"v": {constant}}}')
+    path.write_text(line + ("\n" if terminated else ""))
+    cache = ResultCache(str(path), __version__)
+    assert cache.lookup("abc") is None
+    assert cache.skipped_lines == 1
+    assert f"malformed cache line 1: {constant} is not JSON" in capsys.readouterr().err
+
+
+def test_main_non_json_cached_payload_is_recomputed(tmp_path, capsys):
+    # a record the parent cached for this query, holding "c_eps": Infinity,
+    # used to be served as a hit, whose --json line then failed to print
+    cache = tmp_path / "c.jsonl"
+    digest = params_digest("mixing-probe", {"eps": "-25.5", "m": "4", "max_exponent": "20",
+                                            "pexp": "2,2.5,3", "prime": "2"})
+    line = _rec(digest, {"c_eps": 1.0}).line().replace('{"c_eps": 1.0}', '{"c_eps": Infinity}')
+    cache.write_text(line + "\n")
+    before = cache.read_bytes()
+    assert main(["--cache", str(cache), "--json", "mixing-probe", "--eps=-25.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and cache.read_bytes() == before
+    lines = captured.err.splitlines()
+    assert len(lines) == 2 and "malformed cache line 1: Infinity is not JSON" in lines[0]
+    assert lines[1].startswith("invalid configuration:") and "JSON compliant" not in lines[1]
+
+
 def test_cache_warns_once_per_malformed_line(tmp_path, capsys):
     path = tmp_path / "c.jsonl"
     path.write_text("this is not json\n")
@@ -654,16 +684,49 @@ def test_main_config_malformed_cartan_exit_2(tmp_path, capsys, cartan):
 
 def test_main_config_and_flags_give_one_root_datum(tmp_path, capsys):
     cfg_file = tmp_path / "a3.cfg"
-    cfg_file.write_text("type=A3\ngalois=[[1,3],[2]]\n")
-    payloads = []
-    for argv in (
-        ["--config", str(cfg_file), "invariants"],
-        ["invariants", "--type", "A3", "--galois", "[[1,3],[2]]"],
+    for text, flags, weight in (
+        ("type=A3\ngalois=[[1,3],[2]]\n", ["--type", "A3", "--galois", "[[1,3],[2]]"], ["--weight", "1,1,1"]),
+        # the adjoint weight used to read --type alone, so the file exited 2
+        ("type=A3\n", ["--type", "A3"], []),
     ):
-        assert main(["--cache", str(tmp_path / "c.jsonl"), "--json"] + argv + ["--weight", "1,1,1"]) == 0
-        payloads.append(json.loads(capsys.readouterr().out)["payload"])
-    assert payloads[0] == payloads[1]
-    assert (payloads[0]["label"], payloads[0]["b"]) == ("A3", 1)
+        cfg_file.write_text(text)
+        payloads = []
+        for argv in (["--config", str(cfg_file), "invariants"], ["invariants"] + flags):
+            assert main(["--cache", str(tmp_path / "c.jsonl"), "--json"] + argv + weight) == 0
+            payloads.append(json.loads(capsys.readouterr().out)["payload"])
+        assert payloads[0] == payloads[1]
+        assert (payloads[0]["label"], payloads[0]["b"]) == ("A3", 1)
+
+
+def test_main_adjoint_weight_of_a_cartan_datum_exit_2(tmp_path, capsys):
+    cfg_file = tmp_path / "a2.cfg"
+    cfg_file.write_text("cartan=[[2,-1],[-1,2]]\n")
+    assert _rejected_without_record(tmp_path, ["--config", str(cfg_file), "invariants"])
+    assert "--weight adjoint needs a named type" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--target", "pgl2-adjoint", "--grid", "64", "--primes", "2,,3"],
+        ["count", "--target", "pgl2-adjoint", "--grid", "64", "--primes", "2,3,"],
+        ["count", "--target", "pgl2-adjoint", "--grid", "16,,32"],
+        ["count", "--target", "product-pgl2:1,", "--grid", "64"],
+        ["fit", "--target", "projective:2", "--count-grid", "16,,32,64,128,256"],
+        ["zeta", "--primes", "2,,3"],
+        ["equidist", "--grid", "64", "--primes", ",2"],
+        ["invariants", "--type", "A2", "--weight", "1,,1"],
+        ["mixing-probe", "--pexp", "2,,3"],
+    ],
+    ids=["count-primes", "count-primes-trailing", "grid", "product", "count-grid", "zeta-primes",
+         "equidist-primes", "weight", "pexp"],
+)
+def test_main_empty_comma_list_item_exit_2(tmp_path, capsys, argv):
+    # count's --primes and fit's --count-grid used to drop empty items, and
+    # stored the payload of the list without them under another digest
+    assert _rejected_without_record(tmp_path, argv)
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: empty item in") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,8 @@ from heightcount.rootdata import (
     is_saturated,
     manin_invariants,
     named_root_system,
-    parse_root_system_config,
+    parse_config,
+    root_datum,
     two_rho_coeffs,
     weight_to_root_basis,
 )
@@ -206,8 +207,18 @@ def test_root_system_rejects_cross_factor_coupling():
         )
 
 
+@pytest.mark.parametrize("label", ["D2", "B1", "A0", "E5", "F3", "G3", "C1", "A1xD2"])
+def test_unsupported_ranks_are_refused_by_both_readers(label):
+    # the marks used to come from a table of their own: D2 gave (1, 1, 1),
+    # B1 (1,), A0 () and E5, F3, G3 a bare KeyError
+    with pytest.raises(RootDataError, match="unsupported type"):
+        named_root_system(label)
+    with pytest.raises(RootDataError, match="unsupported type"):
+        adjoint_weight_root_coords(label)
+
+
 def test_parse_config_named():
-    rs, gal = parse_root_system_config("type=A3\n")
+    rs, gal = root_datum(parse_config("type=A3\n"))
     assert rs.label == "A3" and rs.rank == 3
     assert gal.orbits == (frozenset({1}), frozenset({2}), frozenset({3}))
 
@@ -218,16 +229,16 @@ def test_parse_config_explicit():
         "factors=[[1,2,3]]\n"
         "galois=[[1],[2],[3]]\n"
     )
-    rs, gal = parse_root_system_config(text)
+    rs, gal = root_datum(parse_config(text))
     assert rs.rank == 3
     assert two_rho_coeffs(rs) == (3, 4, 3)
 
 
 def test_parse_config_rejects_garbage():
     with pytest.raises(RootDataError):
-        parse_root_system_config("not a config")
+        parse_config("not a config")
     with pytest.raises(RootDataError):
-        parse_root_system_config("rank=3")
+        root_datum(parse_config("rank=3"))
 
 
 # --------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from heightcount.zeta import (
     residue_estimate,
     tauberian_fit,
 )
-from oracles import cell_volume_oracle, finite_parts_oracle
+from oracles import cell_volume_oracle, finite_parts_oracle, primes_below_oracle
 
 
 # --------------------------------------------------------------------------
@@ -248,6 +248,14 @@ def test_residue_floats_equal_the_exp_product_oracle(monkeypatch, P, grid):
     ref = residue_estimate(P, grid)
     assert (est.value, est.error, est.converged) == (ref.value, ref.error, ref.converged)
     assert est.samples == ref.samples
+
+
+@pytest.mark.parametrize("ns", [range(401), [2**20, 2**20 + 1, 3 * 2**20 + 7]], ids=["small", "large"])
+def test_odd_sieve_matches_the_full_sieve(ns):
+    for n in ns:
+        primes = primes_below(n)
+        assert primes.dtype == np.int64
+        assert np.array_equal(primes, primes_below_oracle(n)), n
 
 
 def test_residue_cutoff_above_the_limit_is_refused_before_the_sieve(monkeypatch):
