@@ -525,13 +525,16 @@ _SUBCOMMANDS = {
 def _keyed(subcommand: str, given: dict) -> dict:
     """The digested parameters: the options ``given``, else their defaults,
     as strings ("1" for a set switch) unless empty, and whatever else
-    ``given`` holds (the --config text of invariants).  The cutoff shapes
-    only the zeta residue: keying on it without --residue would split one
-    payload."""
+    ``given`` holds (the --config text of invariants).  An option given as
+    "" whose default is not empty is a configuration error: it would run
+    with the default under another digest.  The cutoff shapes only the zeta
+    residue: keying on it without --residue would split one payload."""
     options = _SUBCOMMANDS[subcommand][1]
     keyed = {k: v for k, v in given.items() if k not in options}
     for key, default in options.items():
         val = given.get(key, default)
+        if val == "" and default:
+            raise ConfigError(f"--{key.replace('_', '-')} is empty")
         if key != "grid" and val not in (None, "", False):
             keyed[key] = "1" if val is True else str(val)
     if subcommand == "zeta" and "residue" not in keyed:

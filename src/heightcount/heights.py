@@ -31,7 +31,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -49,7 +48,6 @@ __all__ = [
     "CartanCoordinates",
     "MeasureConvention",
     "HeightError",
-    "primitive_vector",
     "global_height",
     "adjoint_rep",
     "smith_exponents",
@@ -132,40 +130,30 @@ class MeasureConvention:
 # primitive representatives
 
 
-def primitive_vector(entries: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """Canonical content-1 representative of a nonzero integer vector.
-
-    Returns (primitive, content) with content * primitive == +-entries and
-    the first nonzero entry of primitive positive.
-    """
-    ent = [int(x) for x in entries]
-    g = 0
-    for x in ent:
-        g = math.gcd(g, x)
-    if g == 0:
-        raise HeightError("zero input has no primitive representative")
-    ent = [x // g for x in ent]
-    first = next(x for x in ent if x != 0)
-    if first < 0:
-        ent = [-x for x in ent]
-    return tuple(ent), g
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrimitiveMatrix:
     """Content-1 invertible integer 2x2 matrix with canonical sign; the
-    unique representative of a point of PGL_2(Q)."""
+    unique representative of a point of PGL_2(Q).
+
+    Three checks on the integer entries a, b, c, d: content
+    gcd(a, b, c, d) = 1, the first nonzero entry positive, and
+    ad - bc != 0.  Entries are ints or numpy integers; a float, a
+    fraction or a string raises, whole or not."""
 
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if len(self.entries) != 2 or any(len(row) != 2 for row in self.entries):
-            raise HeightError("expected a 2x2 matrix")
-        flat = [x for row in self.entries for x in row]
-        prim, content = primitive_vector(flat)
-        if content != 1 or tuple(flat) != prim:
+        try:
+            (a, b), (c, d) = self.entries
+        except (TypeError, ValueError):
+            raise HeightError("expected a 2x2 matrix") from None
+        try:
+            content = math.gcd(a, b, c, d)
+        except TypeError:
+            raise HeightError("matrix entries must be integers") from None
+        if content != 1 or (a or b or c or d) < 0:
             raise HeightError("matrix is not in canonical primitive form")
-        if self.det() == 0:
+        if a * d == b * c:
             raise HeightError("determinant must be nonzero")
 
     def det(self) -> int:

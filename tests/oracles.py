@@ -7,11 +7,30 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from heightcount.heights import PrimitiveMatrix
+from heightcount.heights import HeightError, PrimitiveMatrix
 from heightcount.mixing import MixingError, evaluate_point, xi_padic
 from heightcount.zeta import ZetaError, primes_below
 
 _ORACLE_GUARD = 10**6  # largest p^k whose cells cell_volume_oracle counts
+
+
+def primitive_vector(entries) -> tuple[tuple[int, ...], int]:
+    """Canonical content-1 representative of a nonzero integer vector.
+
+    Returns (primitive, content) with content * primitive == +-entries and
+    the first nonzero entry of primitive positive.
+    """
+    ent = [int(x) for x in entries]
+    g = 0
+    for x in ent:
+        g = math.gcd(g, x)
+    if g == 0:
+        raise HeightError("zero input has no primitive representative")
+    ent = [x // g for x in ent]
+    first = next(x for x in ent if x != 0)
+    if first < 0:
+        ent = [-x for x in ent]
+    return tuple(ent), g
 
 
 def cell_volume_oracle(p: int, k: int) -> Fraction:

@@ -732,6 +732,36 @@ def test_main_empty_comma_list_item_exit_2(tmp_path, capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["zeta", "--primes="],
+        ["zeta", "--at="],
+        ["mixing-probe", "--pexp="],
+        ["equidist", "--grid", "64", "--primes="],
+        ["invariants", "--type", "A2", "--weight="],
+        ["fit", "--count-grid", "16,32,64,128,256", "--a="],
+    ],
+    ids=["zeta-primes", "zeta-at", "pexp", "equidist-primes", "weight", "fit-a"],
+)
+def test_main_empty_value_of_a_non_empty_default_exit_2(tmp_path, capsys, argv):
+    # these ran with the default and stored its payload under another digest
+    assert _rejected_without_record(tmp_path, argv)
+    err = capsys.readouterr().err
+    flag = argv[-1].rstrip("=")
+    assert err == f"invalid configuration: {flag} is empty\n"
+
+
+def test_main_empty_value_of_an_empty_default_keeps_its_digest(tmp_path, capsys):
+    lines = []
+    for primes in ([], ["--primes="]):
+        argv = ["count", "--target", "pgl2-adjoint", "--grid", "64"] + primes
+        assert main(["--cache", str(tmp_path / f"c{len(lines)}.jsonl"), "--json"] + argv) == 0
+        lines.append(json.loads(capsys.readouterr().out))
+    assert lines[0]["digest"] == lines[1]["digest"]
+    assert lines[0]["payload"] == lines[1]["payload"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["invariants", "--type", "B2"],
         ["invariants", "--galois", "[[1,2]]", "--weight", "1,1"],
         ["zeta", "--primes", "2"],

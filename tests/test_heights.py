@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -17,9 +18,9 @@ from heightcount.heights import (
     adjoint_rep,
     cartan_radial_real,
     global_height,
-    primitive_vector,
     smith_exponents,
 )
+from oracles import primitive_vector
 
 
 def test_place_validation():
@@ -59,6 +60,51 @@ def test_primitive_matrix_validation():
     with pytest.raises(HeightError):
         PrimitiveMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 1)))  # not 2x2
     assert PrimitiveMatrix(((2, 1), (1, -1))).det() == -3
+
+
+def test_primitive_matrix_accepts_exactly_the_oracle_points():
+    def canonical(t):
+        # content 1 and first nonzero entry positive, by the oracle
+        return any(t) and primitive_vector(t) == (t, 1)
+
+    for t in itertools.product(range(-4, 5), repeat=4):
+        a, b, c, d = t
+        expected = canonical(t) and a * d - b * c != 0
+        try:
+            PrimitiveMatrix(((a, b), (c, d)))
+            accepted = True
+        except HeightError:
+            accepted = False
+        assert accepted == expected, t
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        (((2.0, 1), (1, 1)), "entries must be integers"),  # det 1.0
+        (((Fraction(2), 1), (1, 1)), "entries must be integers"),
+        ((("2", 1), (1, 1)), "entries must be integers"),
+        (((1, 0, 0), (0, 1, 0), (0, 0, 1)), "expected a 2x2 matrix"),
+        (((1, 0), (0,)), "expected a 2x2 matrix"),
+        (5, "expected a 2x2 matrix"),
+        (None, "expected a 2x2 matrix"),
+    ],
+    ids=["float", "fraction", "str", "3x3", "ragged", "int", "none"],
+)
+def test_primitive_matrix_rejects_non_integers_and_other_shapes(entries, message):
+    with pytest.raises(HeightError, match=message):
+        PrimitiveMatrix(entries)
+
+
+def test_primitive_matrix_numpy_integers_slots_and_equality():
+    g = PrimitiveMatrix(((2, 1), (1, -1)))
+    n = PrimitiveMatrix(tuple(tuple(np.int64(x) for x in row) for row in g.entries))
+    assert n.det() == g.det() == -3
+    assert not hasattr(g, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.entries = ((1, 0), (0, 1))
+    h = PrimitiveMatrix(((2, 1), (1, -1)))
+    assert h == g and hash(h) == hash(g) and h is not g
 
 
 # --------------------------------------------------------------------------
