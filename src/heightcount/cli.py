@@ -39,6 +39,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import sys
 import threading
 import time
@@ -104,19 +105,25 @@ class ResultRecord:
     created_at: str
     tool_version: str
     wall_time: float = 0.0
+    # the record's cache line: as read from the file, or once encoded
+    text: str | None = field(default=None, repr=False, compare=False)
 
     def line(self) -> str:
-        return json.dumps(
-            {
-                "digest": self.params_digest,
-                "tool_version": self.tool_version,
-                "created_at": self.created_at,
-                "wall_time": self.wall_time,
-                "payload": self.payload,
-            },
-            sort_keys=True,
-            allow_nan=False,  # NaN and infinities are not JSON
-        )
+        """The cache line: a record read from the cache keeps the line it
+        was read from, and any other is encoded on first use."""
+        if self.text is None:
+            self.text = json.dumps(
+                {
+                    "digest": self.params_digest,
+                    "tool_version": self.tool_version,
+                    "created_at": self.created_at,
+                    "wall_time": self.wall_time,
+                    "payload": self.payload,
+                },
+                sort_keys=True,
+                allow_nan=False,  # NaN and infinities are not JSON
+            )
+        return self.text
 
 
 _digits_lock = threading.Lock()
@@ -174,13 +181,15 @@ _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 def _parse_record(text: bytes) -> ResultRecord:
     """One cache line as a record; raises ValueError, KeyError or TypeError
     if it is malformed."""
-    obj = _DECODER.decode(text.decode())
+    line = text.decode()
+    obj = _DECODER.decode(line)
     return ResultRecord(
         params_digest=obj["digest"],
         payload=obj["payload"],
         created_at=obj["created_at"],
         tool_version=obj["tool_version"],
         wall_time=obj.get("wall_time", 0.0),
+        text=line,
     )
 
 
@@ -522,6 +531,11 @@ _SUBCOMMANDS = {
 }
 
 
+def _flag(key: str) -> str:
+    """The command-line flag of an option key."""
+    return "--" + key.replace("_", "-")
+
+
 def _keyed(subcommand: str, given: dict) -> dict:
     """The digested parameters: the options ``given``, else their defaults,
     as strings ("1" for a set switch) unless empty, and whatever else
@@ -534,7 +548,7 @@ def _keyed(subcommand: str, given: dict) -> dict:
     for key, default in options.items():
         val = given.get(key, default)
         if val == "" and default:
-            raise ConfigError(f"--{key.replace('_', '-')} is empty")
+            raise ConfigError(f"{_flag(key)} is empty")
         if key != "grid" and val not in (None, "", False):
             keyed[key] = "1" if val is True else str(val)
     if subcommand == "zeta" and "residue" not in keyed:
@@ -560,7 +574,7 @@ def run(config: ExperimentConfig, scan_cache: dict | None = None) -> list[Result
     keyed = _keyed(config.subcommand, config.parameters)
     for key, default in options.items():
         if default is None and not (config.grid if key == "grid" else keyed.get(key)):
-            raise ConfigError(f"{config.subcommand} needs --{key.replace('_', '-')}")
+            raise ConfigError(f"{config.subcommand} needs {_flag(key)}")
     params = {**options, **keyed}
     cache = ResultCache(config.cache_path, __version__, config.allow_stale)
     # only the audit draws from it
@@ -603,39 +617,151 @@ def run(config: ExperimentConfig, scan_cache: dict | None = None) -> list[Result
 
 # --------------------------------------------------------------------------
 # argument parsing / entry point
+#
+# A command line is the global flags, a subcommand, then that subcommand's
+# options, in that order.  It is read in one argparse pass by a parser of
+# the global flags and that subcommand's options, chosen by the first token
+# that names a subcommand (the value of a global flag is skipped).  Global
+# flags are spelled in full; a subcommand's options may be abbreviated, as
+# argparse matches prefixes among that subcommand's options alone.
+
+# global flag -> (default, type, help); a default of False marks a switch
+_GLOBAL_FLAGS = {
+    "config": (None, str, "key=value config file"),
+    "threads": (1, int, "accepted for older command lines; every scan runs on one thread"),
+    "cache": ("heightcount_cache.jsonl", str, None),
+    "json": (False, None, "emit JSON lines to stdout"),
+    "csv": (None, str, "write full height spectra to this CSV path"),
+    "allow_stale": (False, None, None),
+    "seed": (0, int, None),
+    "audit_rate": (0, int, None),
+}
+
+
+# the option strings of the global flags, help included, and those that take a value
+_GLOBAL = {_flag(k) for k in _GLOBAL_FLAGS} | {"-h", "--help"}
+_VALUED = {_flag(k) for k, (default, _, _) in _GLOBAL_FLAGS.items() if default is not False}
+# what argparse reads as an option it does not know: a dash, no space, and
+# neither a negative number nor "-h" with more after it
+_UNKNOWN_OPTION = re.compile(r"(?s)(?!--\Z|-h.|-\d+$|-\d*\.\d+$)-[^ ]+\Z")
+
+
+def _mask(token: str, masked: dict[str, str]) -> str:
+    """``token`` spelt so that no parser has an option of that name."""
+    masked["---" + token] = token
+    return "---" + token
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
+    """The parser of the global flags and the options of ``subcommand``;
+    without one, it takes the subcommand as its positional, and serves the
+    help, usage and errors of a line that names none."""
     ap = argparse.ArgumentParser(
         prog="heightcount",
-        allow_abbrev=False,  # else fit's --a reads as a prefix of --allow-stale
+        allow_abbrev=False,  # _option_names matches prefixes, after the subcommand only
         description="rational points of bounded height: counts, exponents, "
         "local factors, decay bounds",
     )
-    ap.add_argument("--config", help="key=value config file")
-    ap.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for older command lines; every scan runs on one thread",
-    )
-    ap.add_argument("--cache", default="heightcount_cache.jsonl")
-    ap.add_argument("--json", action="store_true", help="emit JSON lines to stdout")
-    ap.add_argument("--csv", help="write full height spectra to this CSV path")
-    ap.add_argument("--allow-stale", action="store_true")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--audit-rate", type=int, default=0)
-    sub = ap.add_subparsers(dest="subcommand", required=True)
-    for name, (_, options) in _SUBCOMMANDS.items():
-        sp = sub.add_parser(name)
-        for key, default in options.items():
-            flag = "--" + key.replace("_", "-")
-            if default is False:
-                sp.add_argument(flag, action="store_true")
-            else:
-                sp.add_argument(flag, required=default is None, default=default)
+    group = ap.add_argument_group("global flags, before the subcommand")
+    for key, (default, type_, help_) in _GLOBAL_FLAGS.items():
+        if default is False:
+            group.add_argument(_flag(key), action="store_true", help=help_)
+        else:
+            group.add_argument(_flag(key), type=type_, default=default, help=help_)
+    if subcommand is None:
+        # the subcommand and every word after it, as argparse's subparsers take them
+        ap.add_argument("subcommand", nargs=argparse.PARSER, choices=_SUBCOMMANDS, help="and its options")
+        return ap
+    ap.set_defaults(subcommand=subcommand)
+    group = ap.add_argument_group(f"{subcommand} options, after it")
+    usage = ["%(prog)s [global flags]", subcommand, "[-h]"]
+    for key, default in _SUBCOMMANDS[subcommand][1].items():
+        flag = _flag(key)
+        if default is False:
+            group.add_argument(flag, action="store_true")
+            usage.append(f"[{flag}]")
+        else:
+            group.add_argument(flag, required=default is None, default=default)
+            usage.append(f"{flag} {key.upper()}" if default is None else f"[{flag} {key.upper()}]")
+    ap.usage = " ".join(usage)
     return ap
+
+
+@functools.cache
+def _option_names(subcommand: str) -> dict[str, str | None]:
+    """How a long option name after ``subcommand`` reads: as the option of
+    the subcommand it names or abbreviates (argparse's prefix matching among
+    that subcommand's options and --help), None if it abbreviates several,
+    and "" for a global flag, which is masked there: it stays an unknown
+    option, as it always was after the subcommand."""
+    flags = ["--help"] + [_flag(k) for k in _SUBCOMMANDS[subcommand][1]]
+    matches: dict[str, list[str]] = {}
+    for flag in flags:
+        for end in range(2, len(flag) + 1):
+            matches.setdefault(flag[:end], []).append(flag)
+    names: dict[str, str | None] = dict.fromkeys(map(_flag, _GLOBAL_FLAGS), "")
+    for prefix, found in matches.items():
+        names[prefix] = prefix if prefix in flags else found[0] if len(found) == 1 else None
+    return names
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``argv`` read by the parser of the subcommand it names, in one pass;
+    argparse exits 2 on an error and 0 after --help."""
+    head, tail, masked = [], [], {}
+    i, n = 0, len(argv)
+    while i < n and argv[i] not in _SUBCOMMANDS:
+        token = argv[i]
+        if token.partition("=")[0] in _GLOBAL:
+            head.append(token)
+            if token in _VALUED and i + 1 < n:
+                i += 1
+                value = argv[i]
+                if " " in value and value.partition("=")[0] not in _GLOBAL:
+                    # a value before the subcommand, though "--primes=2 3"
+                    # would read as one of the subcommand's options
+                    head[-1] += "=" + value
+                else:
+                    head.append(value)
+        elif _UNKNOWN_OPTION.match(token):  # an error once the line is read
+            head.append(_mask(token, masked))
+        else:
+            break
+        i += 1
+    if i == n or argv[i] not in _SUBCOMMANDS:
+        # no subcommand, or something else in its place: the parser without
+        # one exits with the help or the error ...
+        ap = _build_parser()
+        ap.parse_known_args(argv)
+        if argv[i : i + 1] != ["--"]:
+            ap.error(f"unrecognized arguments: {' '.join(argv[i:])}")
+        # ... unless this argparse drops a "--" before the subcommand
+        return _parse_args(argv[:i] + argv[i + 1 :])
+    subcommand = argv[i]
+    ap, names = _build_parser(subcommand), _option_names(subcommand)
+    for j in range(i + 1, n):
+        token = argv[j]
+        if token == "--":  # every later token is a positional
+            tail += argv[j:]
+            break
+        name, eq, value = token.partition("=")
+        read = names.get(name, name)
+        if read is None:
+            # argparse reads the head first, so its help or error comes first
+            ap.parse_known_args(head)
+            found = [f for f in names if names[f] == f and f.startswith(name)]
+            ap.error(f"ambiguous option: {name} could match {', '.join(found)}")
+        if read != name:
+            token = _mask(token, masked) if read == "" else read + eq + value
+        tail.append(token)
+    args, extras = ap.parse_known_args(head + tail)
+    if extras:
+        ap.error(f"unrecognized arguments: {' '.join(masked.get(x, x) for x in extras)}")
+    for key, val in vars(args).items() if masked else ():
+        if val in masked:  # a global flag's spelling taken as an option's value
+            setattr(args, key, masked[val])
+    return args
 
 
 def config_from_args(args) -> ExperimentConfig:
@@ -690,9 +816,8 @@ def _write_csv(fh, config: ExperimentConfig, scan_cache: dict) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:

@@ -137,8 +137,8 @@ class PrimitiveMatrix:
 
     Three checks on the integer entries a, b, c, d: content
     gcd(a, b, c, d) = 1, the first nonzero entry positive, and
-    ad - bc != 0.  Entries are ints or numpy integers; a float, a
-    fraction or a string raises, whole or not."""
+    ad - bc != 0.  Entries are ints or numpy integers, kept as ints; a
+    float, a fraction or a string raises, whole or not."""
 
     entries: tuple[tuple[int, ...], ...]
 
@@ -153,6 +153,10 @@ class PrimitiveMatrix:
             raise HeightError("matrix entries must be integers") from None
         if content != 1 or (a or b or c or d) < 0:
             raise HeightError("matrix is not in canonical primitive form")
+        if not (type(a) is int and type(b) is int and type(c) is int and type(d) is int):
+            # numpy integers multiply in fixed width: keep exact Python ints
+            a, b, c, d = map(operator.index, (a, b, c, d))
+            object.__setattr__(self, "entries", ((a, b), (c, d)))
         if a * d == b * c:
             raise HeightError("determinant must be nonzero")
 

@@ -93,3 +93,32 @@ def primes_below_oracle(n: int) -> np.ndarray:
         if sieve[p]:
             sieve[p * p :: p] = False
     return np.flatnonzero(sieve)
+
+
+def two_pass_parser():
+    """The command-line parser the CLI had before its one-pass reading: the
+    global flags, then an argparse subparser per subcommand, so each line is
+    read in two passes.  Its exit codes and values are the grammar's."""
+    import argparse
+
+    from heightcount.cli import _SUBCOMMANDS
+
+    ap = argparse.ArgumentParser(prog="heightcount", allow_abbrev=False)
+    ap.add_argument("--config")
+    ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--cache", default="heightcount_cache.jsonl")
+    ap.add_argument("--json", action="store_true")
+    ap.add_argument("--csv")
+    ap.add_argument("--allow-stale", action="store_true")
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--audit-rate", type=int, default=0)
+    sub = ap.add_subparsers(dest="subcommand", required=True)
+    for name, (_, options) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name)
+        for key, default in options.items():
+            flag = "--" + key.replace("_", "-")
+            if default is False:
+                sp.add_argument(flag, action="store_true")
+            else:
+                sp.add_argument(flag, required=default is None, default=default)
+    return ap

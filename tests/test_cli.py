@@ -1146,3 +1146,228 @@ def test_main_fit_nonpositive_count_grid_exit_2(tmp_path, capsys, grid):
         warnings.simplefilter("error")
         assert _rejected_without_record(tmp_path, ["fit", "--target", "projective:2", f"--count-grid={grid}"])
     assert "grid points must be >= 1" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------
+# the grammar: global flags, the subcommand, then its options, read in one
+# argparse pass; the digests below are those the two-pass parser stored
+
+
+ZETA_PRIMES_2 = "21e3eeeab0c6a7d58c66320b79991bbaa8e4b09cf914b5f9d74c7e770ddc4fcb"
+GRAMMAR_DIGESTS = [
+    (["--cache", "count", "--json", "zeta", "--primes", "2"], ZETA_PRIMES_2),
+    (["--cache=count", "--json", "zeta", "--primes=2"], ZETA_PRIMES_2),
+    (["--json", "--cache", "count", "zeta", "--pr", "2"], ZETA_PRIMES_2),
+    (["--seed", "-1", "--json", "--cache", "count", "zeta", "--prim=2"], ZETA_PRIMES_2),
+    (["--json", "--cache", "zeta", "zeta"], DEFAULT_DIGESTS[2][1]),
+    (["--json", "--cache", "--primes=a b", "zeta", "--primes", "2"], ZETA_PRIMES_2),  # a path with a space
+    (["--json", "--cache", "c", "count", "--t", "pgl2-adjoint", "--g", "16"], DEFAULT_DIGESTS[1][1]),
+    (["--json", "--cache", "c", "count", "--target=pgl2-adjoint", "--grid=16"], DEFAULT_DIGESTS[1][1]),
+    (["--json", "--cache", "c", "fit", "--co", "16,32,64,128,256"], DEFAULT_DIGESTS[4][1]),
+    (["--json", "--cache", "c", "mixing-probe", "--m", "4"], DEFAULT_DIGESTS[5][1]),
+    (["--json", "--cache", "c", "zeta", "--res"], DEFAULT_DIGESTS[3][1]),
+    (["--json", "--cache", "c", "--threads=2", "--audit-rate=0", "invariants", "--ty=A2"], DEFAULT_DIGESTS[0][1]),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GRAMMAR_DIGESTS, ids=[" ".join(a) for a, _ in GRAMMAR_DIGESTS])
+def test_main_grammar_keeps_digests(tmp_path, monkeypatch, capsys, argv, digest):
+    # a global flag's value may name a subcommand, --flag=value works on
+    # both sides, and a subcommand's options may be abbreviated
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["digest"] == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--json"],
+        ["--cache", "zeta"],  # zeta is the cache path: no subcommand
+        ["zeta", "--cache", "X"],
+        ["zeta", "--json"],
+        ["zeta", "--seed=1"],
+        ["--primes", "2", "zeta"],
+        ["--threads", "x", "invariants"],
+        ["--aud", "1", "invariants"],
+        ["--he", "zeta"],
+        ["mixing-probe", "--p", "3"],  # --prime or --pexp
+        ["zeta", "--", "--primes", "2"],
+        ["--", "zeta"],
+        ["zeta", "zeta"],
+    ],
+)
+def test_main_grammar_rejects_exit_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())  # no cache file made
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["-h"], ["zeta", "--help"], ["zeta", "--he"], ["--help", "zeta", "--json"], ["-h", "mixing-probe", "--p", "3"]],
+)
+def test_main_help_exits_0(tmp_path, monkeypatch, capsys, argv):
+    # help is read where argparse reaches it, before an error it finds later
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: heightcount") and "global flags" in out
+    assert not list(tmp_path.iterdir())
+
+
+def test_main_reads_a_line_in_one_argparse_pass(tmp_path, monkeypatch):
+    import argparse
+
+    from heightcount.cli import _build_parser
+
+    argv = ["--cache", str(tmp_path / "c.jsonl"), "--json", "zeta", "--primes", "2"]
+    assert main(argv) == 0
+    passes = []
+    parse = argparse.ArgumentParser.parse_known_args
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "parse_known_args", lambda self, *a, **kw: passes.append(self) or parse(self, *a, **kw)
+    )
+    assert main(argv) == 0  # a hit
+    assert passes == [_build_parser("zeta")]
+
+
+# --------------------------------------------------------------------------
+# a cache hit prints the line it was read from
+
+
+def test_hit_prints_the_cache_lines(tmp_path, capsys):
+    cache = tmp_path / "c.jsonl"
+    argv = ["--cache", str(cache), "--json", "count", "--target", "pgl2-adjoint", "--grid", "16,32,64,128",
+            "--primes", "2,3"]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == cache.read_bytes() == cold.encode()
+    assert len(cold.splitlines()) == 4
+
+
+def test_hit_prints_a_projective_line_past_4300_digits(tmp_path, capsys):
+    cache = tmp_path / "c.jsonl"
+    argv = ["--cache", str(cache), "--json", "count", "--target", "projective:5000", "--grid", "10"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    hit = capsys.readouterr().out.encode()
+    assert hit == cache.read_bytes() and len(hit) > 4300
+
+
+def _noncanonical_zeta_line(tmp_path, capsys, payload=None):
+    """The cache line of ``zeta --primes 2`` rewritten with other key order
+    and spacing (and ``payload`` if given)."""
+    cache = tmp_path / "c.jsonl"
+    assert main(["--cache", str(cache), "--json", "zeta", "--primes", "2"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    obj = dict(reversed(list(obj.items())), payload=payload or obj["payload"])
+    line = json.dumps(obj, indent=None, separators=(" ,", ":  "))
+    cache.write_text(line + "\n")
+    return cache, line
+
+
+def test_hit_prints_a_noncanonical_line_as_stored(tmp_path, capsys):
+    cache, line = _noncanonical_zeta_line(tmp_path, capsys)
+    assert main(["--cache", str(cache), "--json", "zeta", "--primes", "2"]) == 0
+    assert capsys.readouterr().out == line + "\n"
+    # the table output reads the decoded payload
+    assert main(["--cache", str(cache), "zeta", "--primes", "2"]) == 0
+    assert "'value_at': {'2': '5/2'}" in capsys.readouterr().out
+    assert cache.read_text() == line + "\n"
+
+
+def test_audit_compares_decoded_payloads_of_a_noncanonical_line(tmp_path, capsys):
+    argv = ["--audit-rate", "1", "--json", "zeta", "--primes", "2"]
+    cache, line = _noncanonical_zeta_line(tmp_path, capsys)
+    assert main(["--cache", str(cache)] + argv) == 0  # same payload, other spelling
+    assert capsys.readouterr().out == line + "\n"
+    obj = json.loads(line)
+    obj["payload"]["factors"][0]["p"] = 3
+    cache, line = _noncanonical_zeta_line(tmp_path, capsys, obj["payload"])
+    assert main(["--cache", str(cache)] + argv) == 4
+    assert "cache audit mismatch" in capsys.readouterr().err
+
+
+def test_miss_encodes_its_record_once(tmp_path, monkeypatch, capsys):
+    import heightcount.cli as cli
+
+    encoded = []
+    dumps = json.dumps
+    monkeypatch.setattr(cli.json, "dumps", lambda obj, **kw: encoded.append("payload" in obj) or dumps(obj, **kw))
+    cache = tmp_path / "c.jsonl"
+    assert main(["--cache", str(cache), "--json", "zeta", "--primes", "2"]) == 0
+    assert encoded.count(True) == 1  # one line for the append and the print
+    assert capsys.readouterr().out.encode() == cache.read_bytes()
+
+
+# tokens that probe how argparse classifies a word: flags, their prefixes
+# and "=" forms on both sides of the subcommand, values with spaces,
+# negative numbers, "--" and "-h" variants
+SUBCOMMAND_NAMES = ["invariants", "count", "zeta", "fit", "mixing-probe", "equidist"]
+GRAMMAR_WORDS = (
+    SUBCOMMAND_NAMES
+    + ["--", "-", "", "-h", "--help", "--he", "-hx", "-hh", "-h=x", "--=x", "-x", "---json"]
+    + ["--config", "--threads", "--cache", "--json", "--csv", "--allow-stale", "--seed", "--audit-rate"]
+    + ["--aud", "--al", "--c", "--s", "--cache=x", "--cache=a b", "--seed=3", "--json=1", "--threads=x"]
+    + ["--primes", "--prime", "--pr", "--p", "--at", "--a", "--b", "--res", "--r", "--cutoff", "--c=5"]
+    + ["--target", "--t", "--ta", "--grid", "--g", "--gr=16", "--count-grid", "--co", "--type", "--ty"]
+    + ["--weight", "--max-exponent", "--m", "--ma", "--eps", "--pexp", "--primes=a b", "--seed=1 2"]
+    + ["--tar=a b", "2", "-1", "-0.5", "x", "a b", "pgl2-adjoint", "16", "2,3", "A2"]
+)
+
+
+def _read(parse, argv):
+    """("exit", code) or ("ok", the values read) for one parse of argv."""
+    try:
+        return "ok", vars(parse(argv))
+    except SystemExit as exc:
+        return "exit", 0 if exc.code in (0, None) else 2
+
+
+def _compare_with_the_two_pass_parser(seed, lines, dashes=0.0):
+    """The number of ``lines`` seeded random lines that both parsers accept;
+    fails on the first line they read differently."""
+    import random
+
+    from heightcount.cli import _parse_args
+    from oracles import two_pass_parser
+
+    oracle = two_pass_parser()
+    rng = random.Random(seed)
+    accepted = 0
+    for _ in range(lines):
+        argv = [rng.choice(GRAMMAR_WORDS) for _ in range(rng.randrange(7))]
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(SUBCOMMAND_NAMES))
+        if rng.random() < dashes:
+            argv.insert(rng.randrange(len(argv) + 1), "--")
+        want = _read(oracle.parse_args, argv)
+        assert _read(_parse_args, argv) == want, argv
+        accepted += want[0] == "ok"
+    return accepted
+
+
+def test_one_pass_grammar_matches_the_two_pass_parser(capsys):
+    assert _compare_with_the_two_pass_parser(25, 2500) > 100
+    capsys.readouterr()
+
+
+def test_one_pass_grammar_where_argparse_drops_a_dash_dash(monkeypatch, capsys):
+    # later argparse versions drop the "--" in "heightcount -- zeta" and
+    # run zeta; the one-pass reading follows whichever argparse it runs on
+    import argparse
+
+    get_values = argparse.ArgumentParser._get_values
+
+    def dropping(self, action, arg_strings):
+        if action.nargs == argparse.PARSER and arg_strings[:1] == ["--"]:
+            arg_strings = arg_strings[1:]
+        return get_values(self, action, arg_strings)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "_get_values", dropping)
+    assert _compare_with_the_two_pass_parser(26, 2500, dashes=0.3) > 100
+    capsys.readouterr()

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -105,6 +106,19 @@ def test_primitive_matrix_numpy_integers_slots_and_equality():
         g.entries = ((1, 0), (0, 1))
     h = PrimitiveMatrix(((2, 1), (1, -1)))
     assert h == g and hash(h) == hash(g) and h is not g
+
+
+def test_primitive_matrix_numpy_integers_are_exact():
+    # int64 products past 2^63 wrap: the entries are kept as Python ints
+    big = np.int64(2**32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = PrimitiveMatrix(((big, np.int64(1)), (np.int64(1), big)))
+        M, det = adjoint_rep(g)
+    assert g.det() == det == 2**64 - 1
+    assert M[0][0] == 2**64
+    assert all(type(x) is int for row in g.entries for x in row)
+    assert g == PrimitiveMatrix(((2**32, 1), (1, 2**32)))
 
 
 # --------------------------------------------------------------------------
